@@ -56,6 +56,18 @@ def _cases() -> Dict[str, Tuple[LinkConfig, List[FlowSpec]]]:
         ),
         mix,
     )
+    # Dyadic service time (2**-12 s) and RTTs: many events tie exactly.
+    cases["dyadic-ties"] = (
+        LinkConfig(
+            capacity=1500 * 4096.0, rtt=0.03125, buffer_bdp=2.0, aqm="codel"
+        ),
+        [
+            FlowSpec("cubic"),
+            FlowSpec("bbr", rtt=0.0625),
+            FlowSpec("reno", rtt=0.015625),
+            FlowSpec("bbr"),
+        ],
+    )
     for cc in ("bbr2", "copa", "vivace"):
         cases[cc] = (
             LinkConfig.from_mbps_ms(50, 40, 2.0),
@@ -72,6 +84,7 @@ GOLDEN: Dict[str, str] = {
     "codel-2bdp": "1e10ebca9dc571a456a0cdc5779e4cb809fbd911580b694b3bb0bbb85c411482",
     "codel-8bdp": "4b01fc2aa93f3c8ac5d1593dd087bda2d3800bf357b7324f846910f6c0620879",
     "copa": "69038e95ed28897d86dc121e641e6a168e29c8d5fcc0c8e5a113275b4d94d6d3",
+    "dyadic-ties": "6c32056fd6b8dd43d3e86d5135be682e64e078910ba9393fc2c3685c3b4bc5c9",
     "droptail-2bdp": "873be9250ce188bff8ca0ed6b1f620acae5b984286559d56ea32de40f8050061",
     "droptail-8bdp": "60f3b7623cd5e204fe1ef2917e5eb37cbc3fa4f4052dc9772947e0bb379f662b",
     "mixed-rtt": "4341da0ec9ba5326283f39f8ea5f7cfeae8304815d821ae69bc0af8e613d8143",
