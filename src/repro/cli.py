@@ -1312,7 +1312,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("fluid", "fluid-vec"),
         default="fluid",
         help="substrate serving the figure's fluid-model points "
-        "(fluid-vec is bit-identical and faster)",
+        "(fluid-vec is bit-identical; faster on large batches, "
+        "slower point-at-a-time)",
     )
     p.add_argument(
         "--csv-dir", default=None, help="also write CSVs to this directory"
@@ -1511,7 +1512,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("fluid", "fluid-vec"),
         default="fluid",
         help="substrate serving the campaign's fluid-model units "
-        "(fluid-vec is bit-identical and faster)",
+        "(fluid-vec is bit-identical; faster on large batches, "
+        "slower point-at-a-time)",
     )
     _add_scenario_args(cp)
     _add_campaign_obs_args(cp)
@@ -1535,7 +1537,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("fluid", "fluid-vec"),
         default="fluid",
         help="substrate serving the campaign's fluid-model units "
-        "(fluid-vec is bit-identical and faster)",
+        "(fluid-vec is bit-identical; faster on large batches, "
+        "slower point-at-a-time)",
     )
     _add_campaign_obs_args(cp)
     _add_exec_args(cp)

@@ -400,6 +400,8 @@ class Engine:
         self.close()
 
     def __del__(self) -> None:  # pragma: no cover - GC timing
+        if getattr(self, "_lock", None) is None:
+            return  # __init__ failed before there was a pool to close.
         try:
             self.close()
         except (OSError, RuntimeError):

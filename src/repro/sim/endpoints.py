@@ -85,7 +85,6 @@ class Sender:
         self._srtt: Optional[float] = None
         self._last_ack_time = start_time
         self._rto_pending = False
-        self._highest_acked = -1
         self._last_ecn_reaction = float("-inf")
 
         loop.call_at(start_time, self._on_start)
@@ -114,17 +113,22 @@ class Sender:
     def _maybe_send(self) -> None:
         """Send packets while cwnd (and the pacer) permit."""
         now = self.loop.now
-        while (
-            not self.done_sending
-            and self._in_flight_bytes + self.mss <= self.cc.cwnd
-        ):
-            rate = self.cc.pacing_rate
+        cc = self.cc
+        mss = self.mss
+        max_bytes = self.max_bytes
+        while self._in_flight_bytes + mss <= cc.cwnd:
+            if max_bytes is not None and self._next_seq * mss >= max_bytes:
+                return  # Finite flow: the whole transfer has been sent.
+            rate = cc.pacing_rate
             if rate is not None and rate > 0:
-                if now < self._next_send_time:
-                    self._arm_send_timer(self._next_send_time)
+                next_send = self._next_send_time
+                if now < next_send:
+                    self._arm_send_timer(next_send)
                     return
-                gap = self.mss / rate
-                base = max(self._next_send_time, now - gap)
+                gap = mss / rate
+                base = now - gap
+                if not base > next_send:
+                    base = next_send
                 self._next_send_time = base + gap
             self._send_packet(now)
 
@@ -132,80 +136,86 @@ class Sender:
         if self._send_timer_pending:
             return
         self._send_timer_pending = True
+        self.loop.call_at(when, self._on_send_timer)
 
-        def fire() -> None:
-            self._send_timer_pending = False
-            self._maybe_send()
-
-        self.loop.call_at(when, fire)
+    def _on_send_timer(self) -> None:
+        self._send_timer_pending = False
+        self._maybe_send()
 
     def _send_packet(self, now: float) -> None:
+        seq = self._next_seq
+        mss = self.mss
         packet = Packet(
-            flow_id=self.flow_id,
-            seq=self._next_seq,
-            size=self.mss,
-            sent_time=now,
-            delivered_at_send=self._delivered,
-            delivered_time_at_send=self._delivered_time,
-            app_limited=False,
-            is_retransmit=False,
+            self.flow_id,
+            seq,
+            mss,
+            now,
+            self._delivered,
+            self._delivered_time,
+            False,
+            False,
         )
-        self._next_seq += 1
-        self._outstanding[packet.seq] = packet
-        self._order.append(packet.seq)
-        self._in_flight_bytes += packet.size
+        self._next_seq = seq + 1
+        self._outstanding[seq] = packet
+        self._order.append(seq)
+        in_flight = self._in_flight_bytes + mss
+        self._in_flight_bytes = in_flight
         self.stats.sent_packets += 1
-        self.cc.on_sent(now, self._in_flight_bytes)
+        self.cc.on_sent(now, in_flight)
         self.transmit(packet)
 
     # -- acknowledgements ------------------------------------------------
 
     def on_ack(self, ack: Ack) -> None:
-        """Process an ACK delivered by the reverse path."""
-        now = self.loop.now
-        packet = self._outstanding.pop(ack.seq, None)
+        """Process an ACK delivered by the reverse path.
+
+        Only ``ack.seq`` and ``ack.ecn`` are read, so the receiver may
+        echo the data packet itself (see :class:`Receiver`).
+        """
+        seq = ack.seq
+        packet = self._outstanding.pop(seq, None)
         if packet is None:
             return  # ACK for a packet already declared lost.
+        now = self.loop.now
+        size = packet.size
         self._last_ack_time = now
-        self._in_flight_bytes -= packet.size
-        self._delivered += packet.size
+        self._in_flight_bytes -= size
+        delivered = self._delivered + size
+        self._delivered = delivered
         self._delivered_time = now
-        if ack.seq > self._highest_acked:
-            self._highest_acked = ack.seq
 
         rtt = now - packet.sent_time
         self._srtt = smooth_rtt(self._srtt, rtt)
-        self.stats.record_rtt(rtt)
-        self.stats.ack_count += 1
+        stats = self.stats
+        stats.record_rtt(rtt)
+        stats.ack_count += 1
 
         delivery_rate = 0.0
         interval = now - packet.delivered_time_at_send
         if interval > 0:
-            delivery_rate = (
-                self._delivered - packet.delivered_at_send
-            ) / interval
+            delivery_rate = (delivered - packet.delivered_at_send) / interval
 
-        self._detect_losses(ack.seq)
+        self._detect_losses(seq)
         if ack.ecn:
             self._on_ecn_echo(now)
 
-        sample = RateSample(
-            rtt=rtt,
-            delivery_rate=delivery_rate,
-            delivered=self._delivered,
-            delivered_at_send=packet.delivered_at_send,
-            acked_bytes=packet.size,
-            in_flight=self._in_flight_bytes,
-            is_app_limited=packet.app_limited,
-            now=now,
+        cc = self.cc
+        cc.on_ack(
+            RateSample(
+                rtt,
+                delivery_rate,
+                delivered,
+                packet.delivered_at_send,
+                size,
+                self._in_flight_bytes,
+                packet.app_limited,
+                now,
+            )
         )
-        self.cc.on_ack(sample)
-        self.cc.clamp_cwnd()
+        cc.clamp_cwnd()
         check = self.check
         if check is not None:
-            check.flow_update(
-                now, self.flow_id, self.cc, self._in_flight_bytes
-            )
+            check.flow_update(now, self.flow_id, cc, self._in_flight_bytes)
         self._maybe_send()
 
     def _on_ecn_echo(self, now: float) -> None:
@@ -243,17 +253,20 @@ class Sender:
 
     def _detect_losses(self, acked_seq: int) -> None:
         """Declare outstanding packets below the ACKed seq lost (gap-based)."""
+        order = self._order
+        outstanding = self._outstanding
+        horizon = acked_seq - (REORDER_THRESHOLD - 1)
         lost_bytes = 0
         lost_packets = 0
-        while self._order:
-            seq = self._order[0]
-            if seq not in self._outstanding:
-                self._order.popleft()
+        while order:
+            seq = order[0]
+            if seq not in outstanding:
+                order.popleft()
                 continue
-            if seq >= acked_seq - (REORDER_THRESHOLD - 1):
+            if seq >= horizon:
                 break
-            packet = self._outstanding.pop(seq)
-            self._order.popleft()
+            packet = outstanding.pop(seq)
+            order.popleft()
             self._in_flight_bytes -= packet.size
             lost_bytes += packet.size
             lost_packets += 1
@@ -344,25 +357,18 @@ class Receiver:
         self,
         loop: EventLoop,
         stats: FlowStats,
-        send_ack: Callable[[Ack], None],
+        send_ack: Callable[[Packet], None],
     ) -> None:
         self.loop = loop
         self.stats = stats
         self.send_ack = send_ack
 
     def on_packet(self, packet: Packet) -> None:
-        """Handle a data packet exiting the network."""
-        now = self.loop.now
-        self.stats.record_delivery(now, packet.size)
-        ack = Ack(
-            flow_id=packet.flow_id,
-            seq=packet.seq,
-            size=packet.size,
-            data_sent_time=packet.sent_time,
-            delivered_at_send=packet.delivered_at_send,
-            delivered_time_at_send=packet.delivered_time_at_send,
-            app_limited=packet.app_limited,
-            recv_time=now,
-            ecn=packet.ecn,
-        )
-        self.send_ack(ack)
+        """Handle a data packet exiting the network.
+
+        The packet itself travels back as its own ACK: it carries the
+        ``seq`` and CE mark that :meth:`Sender.on_ack` reads, so no
+        separate :class:`Ack` record is built per packet.
+        """
+        self.stats.record_delivery(self.loop.now, packet.size)
+        self.send_ack(packet)

@@ -1,15 +1,20 @@
 """Discrete-event simulation core.
 
-A minimal, fast event loop built on :mod:`heapq`.  Events are ``(time,
-sequence, callback)`` triples; the sequence number breaks ties so that
-events scheduled earlier run earlier, which keeps runs fully deterministic.
+A minimal, fast event loop built on :mod:`heapq`.  Heap entries are
+``(time, sequence, callback, ...)`` tuples; the sequence number breaks
+ties so that events scheduled earlier run earlier, which keeps runs
+fully deterministic.  The keys ``(time, sequence)`` are unique, so the
+heap never compares past them: components that keep their own FIFO of
+pending work (:class:`repro.sim.link.DelayLine`) reserve a sequence
+number with ``next(loop._counter)`` when the work is scheduled and push
+only the FIFO's head, carrying extra fields after the callback.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import time
+from heapq import heappop, heappush
 from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -43,33 +48,31 @@ class EventLoop:
         obs: Optional["Telemetry"] = None,
         check: Optional["Checker"] = None,
     ) -> None:
-        self._queue: List[Tuple[float, int, Callable[[], None]]] = []
+        self._queue: List[Tuple] = []
         self._counter = itertools.count()
-        self._now = 0.0
+        #: Current simulation time in seconds.
+        self.now = 0.0
         self._running = False
         self.obs = obs
         self.check = check
         #: Total events executed by this loop across all run calls.
         self.events_processed = 0
 
-    @property
-    def now(self) -> float:
-        """Current simulation time in seconds."""
-        return self._now
-
     def call_at(self, when: float, callback: Callable[[], None]) -> None:
         """Schedule ``callback`` to run at absolute time ``when``."""
-        if when < self._now:
+        if when < self.now:
             raise ValueError(
-                f"cannot schedule event in the past: {when} < {self._now}"
+                f"cannot schedule event in the past: {when} < {self.now}"
             )
-        heapq.heappush(self._queue, (when, next(self._counter), callback))
+        heappush(self._queue, (when, next(self._counter), callback))
 
     def call_later(self, delay: float, callback: Callable[[], None]) -> None:
         """Schedule ``callback`` to run ``delay`` seconds from now."""
         if delay < 0:
             raise ValueError(f"delay must be non-negative, got {delay}")
-        self.call_at(self._now + delay, callback)
+        heappush(
+            self._queue, (self.now + delay, next(self._counter), callback)
+        )
 
     def run_until(self, end_time: float) -> None:
         """Run events in order until the clock reaches ``end_time``.
@@ -84,24 +87,36 @@ class EventLoop:
         wall_start = time.perf_counter() if obs is not None else 0.0
         processed = 0
         try:
-            while queue and self._running:
-                when, _seq, callback = queue[0]
-                if when > end_time:
-                    break
-                heapq.heappop(queue)
-                if check is not None:
-                    check.event_loop_tick(when, self._now, len(queue))
-                self._now = when
-                callback()
-                processed += 1
+            if check is None:
+                while queue:
+                    entry = heappop(queue)
+                    when = entry[0]
+                    if when > end_time:
+                        heappush(queue, entry)
+                        break
+                    self.now = when
+                    entry[2]()
+                    processed += 1
+                    if not self._running:
+                        break
+            else:
+                while queue and self._running:
+                    when = queue[0][0]
+                    if when > end_time:
+                        break
+                    entry = heappop(queue)
+                    check.event_loop_tick(when, self.now, len(queue))
+                    self.now = when
+                    entry[2]()
+                    processed += 1
         finally:
             self._running = False
             self.events_processed += processed
             if obs is not None:
                 obs.count("sim.events", processed)
                 obs.record_time("sim.run", time.perf_counter() - wall_start)
-        if self._now < end_time:
-            self._now = end_time
+        if self.now < end_time:
+            self.now = end_time
 
     def run_all(self, max_events: int = 10_000_000) -> int:
         """Run until the queue is empty; returns the number of events run.
@@ -116,11 +131,12 @@ class EventLoop:
         wall_start = time.perf_counter() if obs is not None else 0.0
         try:
             while queue and self._running:
-                when, _seq, callback = heapq.heappop(queue)
+                entry = heappop(queue)
+                when = entry[0]
                 if check is not None:
-                    check.event_loop_tick(when, self._now, len(queue))
-                self._now = when
-                callback()
+                    check.event_loop_tick(when, self.now, len(queue))
+                self.now = when
+                entry[2]()
                 count += 1
                 if count >= max_events:
                     raise RuntimeError(
@@ -139,7 +155,7 @@ class EventLoop:
         self._running = False
 
     def pending(self) -> int:
-        """Number of events currently queued."""
+        """Number of heap entries queued (a delay line counts once)."""
         return len(self._queue)
 
     def peek_time(self) -> Optional[float]:

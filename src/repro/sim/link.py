@@ -11,6 +11,7 @@ drop reported to the :class:`~repro.sim.stats.LinkStats` recorder).
 from __future__ import annotations
 
 from collections import deque
+from heapq import heappush
 from typing import TYPE_CHECKING, Callable, Deque, Optional
 
 from repro.sim.engine import EventLoop
@@ -75,12 +76,16 @@ class Link:
         loop: The event loop driving the simulation.
         capacity: Serialization rate in bytes per second.
         delay: One-way propagation delay in seconds, applied after
-            serialization.
+            serialization.  Exiting packets pass through a
+            :class:`DelayLine`; with a zero delay a packet is handed to
+            ``deliver`` inside its service completion whenever no other
+            event shares that timestamp (see :meth:`_finish_service`).
         buffer_bytes: Drop-tail buffer capacity in bytes.  The packet
             currently being serialized does not count against the buffer,
             matching how token-bucket emulators (and the paper's model)
             account for buffer space.
-        deliver: Callback invoked with each packet when it exits the link.
+        deliver: Callback invoked with each packet when it exits the link
+            (rebindable after construction).
         on_drop: Optional callback invoked with each dropped packet.
         aqm: Optional :class:`repro.sim.aqm.RED` instance; when present,
             arriving packets may be dropped early even though the
@@ -130,7 +135,7 @@ class Link:
         self.ecn = ecn
         self.delay = delay
         self.buffer_bytes = buffer_bytes
-        self.deliver = deliver
+        self._output = DelayLine(loop, delay, deliver)
         self.on_drop = on_drop
         self.aqm = aqm
         self.obs = obs
@@ -138,11 +143,21 @@ class Link:
         self.stats = LinkStats()
         self._queue: Deque[tuple] = deque()  # (packet, enqueue_time)
         self._queued_bytes = 0
-        self._busy = False
+        self._in_service: Optional[Packet] = None
+        self._finish = self._finish_service
         # Conservation-audit tallies, maintained only when a checker is
         # attached (the audit needs every byte offered since t=0).
         self._offered_bytes = 0
         self._in_service_bytes = 0
+
+    @property
+    def deliver(self) -> Callable[[Packet], None]:
+        """Callback invoked with each packet when it exits the link."""
+        return self._output.deliver
+
+    @deliver.setter
+    def deliver(self, deliver: Callable[[Packet], None]) -> None:
+        self._output.deliver = deliver
 
     @property
     def queued_bytes(self) -> int:
@@ -183,9 +198,8 @@ class Link:
         check = self.check
         if check is not None:
             self._offered_bytes += packet.size
-        if self.aqm is not None and self.aqm.on_enqueue(
-            self._queued_bytes
-        ):
+        aqm = self.aqm
+        if aqm is not None and aqm.on_enqueue(self._queued_bytes):
             if self.ecn:
                 self._record_mark(packet)
             else:
@@ -193,15 +207,17 @@ class Link:
                 if check is not None:
                     self._audit(check)
                 return False
-        if self._busy:
-            if self._queued_bytes + packet.size > self.buffer_bytes:
+        if self._in_service is not None:
+            queued = self._queued_bytes + packet.size
+            if queued > self.buffer_bytes:
                 self._record_drop(packet)
                 if check is not None:
                     self._audit(check)
                 return False
-            self._queue.append((packet, self.loop.now))
-            self._queued_bytes += packet.size
-            self.stats.record_occupancy(self.loop.now, self._queued_bytes)
+            now = self.loop.now
+            self._queue.append((packet, now))
+            self._queued_bytes = queued
+            self.stats.record_occupancy(now, queued)
         else:
             self._start_service(packet)
         if self.obs is not None:
@@ -263,30 +279,51 @@ class Link:
             )
 
     def _start_service(self, packet: Packet) -> None:
-        self._busy = True
+        self._in_service = packet
         if self.check is not None:
             self._in_service_bytes = packet.size
-        service_time = packet.size / self.capacity
-        self.loop.call_later(
-            service_time, lambda p=packet: self._finish_service(p)
+        loop = self.loop
+        heappush(
+            loop._queue,
+            (
+                loop.now + packet.size / self.capacity,
+                next(loop._counter),
+                self._finish,
+            ),
         )
 
-    def _finish_service(self, packet: Packet) -> None:
+    def _finish_service(self) -> None:
+        """Forward the in-service packet and start serving the next one.
+
+        A zero-delay output would be one more event at the current
+        timestamp, dispatched right after this one unless another event
+        already waits at the same timestamp.  When none does, nothing
+        can run in between, so the packet is delivered directly at the
+        end of this call, after every sequence number this call
+        reserves, as the extra event would have done.  Otherwise it
+        goes through the output line, which reserves its key here,
+        where the extra event was scheduled.
+        """
+        packet = self._in_service
+        loop = self.loop
+        now = loop.now
+        heap = loop._queue
+        direct = self.delay == 0.0 and (not heap or heap[0][0] > now)
         check = self.check
         if check is not None:
             self._in_service_bytes = 0
-        self.stats.forwarded_packets += 1
-        self.stats.forwarded_bytes += packet.size
-        # Propagation: deliver after the one-way delay.
-        self.loop.call_later(self.delay, lambda p=packet: self.deliver(p))
-        now = self.loop.now
-        while self._queue:
-            nxt, enqueued_at = self._queue.popleft()
+        stats = self.stats
+        stats.forwarded_packets += 1
+        stats.forwarded_bytes += packet.size
+        if not direct:
+            self._output.send(packet)
+        queue = self._queue
+        aqm = self.aqm
+        while queue:
+            nxt, enqueued_at = queue.popleft()
             self._queued_bytes -= nxt.size
-            self.stats.record_occupancy(now, self._queued_bytes)
-            if self.aqm is not None and self.aqm.on_dequeue(
-                now, now - enqueued_at
-            ):
+            stats.record_occupancy(now, self._queued_bytes)
+            if aqm is not None and aqm.on_dequeue(now, now - enqueued_at):
                 if self.ecn:
                     # Head mark (CoDel-style CE): forward it marked.
                     self._record_mark(nxt)
@@ -295,16 +332,30 @@ class Link:
                     self._record_drop(nxt, aqm=True)
                     continue
             self._start_service(nxt)
-            if check is not None:
-                self._audit(check)
-            return
-        self._busy = False
+            break
+        else:
+            self._in_service = None
         if check is not None:
             self._audit(check)
+        if direct:
+            self._output.deliver(packet)
 
 
 class DelayLine:
-    """A pure delay element (used for the uncongested reverse ACK path)."""
+    """A pure delay element: a FIFO that keeps one heap entry, its head.
+
+    :meth:`send` gives each item the key ``(now + delay, seq)``, with
+    ``seq`` reserved from the loop's counter right then: the key a
+    ``call_later(delay, ...)`` per item would give it.  Send times never
+    decrease and the delay is fixed, so keys increase along the FIFO.
+    Only the head sits in the loop's heap; when it fires, the next item
+    is pushed with its reserved key.  Every item is therefore dispatched
+    at exactly the place in the ``(time, seq)`` order that per-item
+    scheduling gives it, ties with other events included, while the
+    heap holds one entry per non-empty line.
+
+    Used for the per-flow propagation paths and the link's output.
+    """
 
     def __init__(
         self,
@@ -317,7 +368,27 @@ class DelayLine:
         self.loop = loop
         self.delay = delay
         self.deliver = deliver
+        #: Heap entries ``(time, seq, fire, item)`` in key order.
+        self._items: Deque[tuple] = deque()
+        self._fire_head = self._fire
 
     def send(self, item: object) -> None:
         """Deliver ``item`` after the configured delay."""
-        self.loop.call_later(self.delay, lambda it=item: self.deliver(it))
+        loop = self.loop
+        entry = (
+            loop.now + self.delay,
+            next(loop._counter),
+            self._fire_head,
+            item,
+        )
+        items = self._items
+        if not items:
+            heappush(loop._queue, entry)
+        items.append(entry)
+
+    def _fire(self) -> None:
+        items = self._items
+        item = items.popleft()[3]
+        if items:
+            heappush(self.loop._queue, items[0])
+        self.deliver(item)

@@ -198,7 +198,8 @@ class DumbbellNetwork:
 
         self.senders: List[Sender] = []
         self.stats: List[FlowStats] = []
-        self._data_paths: Dict[int, DelayLine] = {}
+        #: Per-flow forward propagation paths, indexed by flow id.
+        self._data_paths: List[DelayLine] = []
 
         for flow_id, spec in enumerate(self.flow_specs):
             rtt = spec.rtt if spec.rtt is not None else link.rtt
@@ -222,8 +223,8 @@ class DumbbellNetwork:
             )
             ack_path = DelayLine(self.loop, rtt / 2.0, sender.on_ack)
             receiver = Receiver(self.loop, stats, ack_path.send)
-            self._data_paths[flow_id] = DelayLine(
-                self.loop, rtt / 2.0, receiver.on_packet
+            self._data_paths.append(
+                DelayLine(self.loop, rtt / 2.0, receiver.on_packet)
             )
             self.senders.append(sender)
             self.stats.append(stats)

@@ -1,5 +1,6 @@
 """Execution engine: fingerprints, result cache, parallel determinism."""
 
+import gc
 import json
 import logging
 
@@ -283,9 +284,14 @@ def test_engine_run_mix_matches_runner_run_mix():
     assert result == direct
 
 
+@pytest.mark.filterwarnings(
+    "error::pytest.PytestUnraisableExceptionWarning"
+)
 def test_engine_jobs_validation():
+    # A half-built engine must finalize quietly (no unraisable error).
     with pytest.raises(ValueError):
         Engine(jobs=0)
+    gc.collect()
 
 
 def test_default_engine_install_and_resolve():

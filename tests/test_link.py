@@ -1,5 +1,7 @@
 """Drop-tail bottleneck link: serialization, queuing, drops, delay."""
 
+import random
+
 import pytest
 
 from repro.sim.engine import EventLoop
@@ -185,3 +187,121 @@ def test_delay_line_preserves_order():
 def test_delay_line_rejects_negative_delay():
     with pytest.raises(ValueError):
         DelayLine(EventLoop(), -0.1, print)
+
+
+class PerItemLine:
+    """Reference delay line: one ``call_later`` (heap entry) per item."""
+
+    def __init__(self, loop, delay, deliver):
+        self.loop = loop
+        self.delay = delay
+        self.deliver = deliver
+
+    def send(self, item):
+        self.loop.call_later(self.delay, lambda: self.deliver(item))
+
+
+def run_tie_script(line_cls):
+    """Interleave line sends with ``call_at`` events on tying float times.
+
+    Delays and event times are dyadic, so sums tie exactly.  Returns the
+    dispatch log and, per dispatch, ``(pending, expected)`` where
+    ``expected`` counts one heap entry per plain event and per non-empty
+    line.
+    """
+    rng = random.Random(7)
+    loop = EventLoop()
+    log = []
+    counts = []
+    in_line = {}
+    plain = [0]
+    lines = {}
+
+    def note():
+        counts.append(
+            (loop.pending(), plain[0] + sum(1 for n in in_line.values() if n))
+        )
+
+    def act(depth):
+        for _ in range(rng.randrange(4)):
+            name = rng.choice(sorted(lines))
+            in_line[name] += 1
+            lines[name].send((name, depth, len(log)))
+        for _ in range(rng.randrange(3)):
+            if depth < 6:
+                event(loop.now + 0.125 * rng.randrange(5), depth + 1)
+
+    def event(when, depth):
+        plain[0] += 1
+
+        def fire():
+            plain[0] -= 1
+            log.append((loop.now, "event", depth))
+            act(depth)
+            note()
+
+        loop.call_at(when, fire)
+
+    for name, delay in (("a", 0.5), ("b", 0.25), ("c", 0.125), ("z", 0.0)):
+
+        def deliver(item, name=name):
+            in_line[name] -= 1
+            log.append((loop.now, name, item))
+            if item[1] < 6:
+                act(item[1] + 1)
+            note()
+
+        lines[name] = line_cls(loop, delay, deliver)
+        in_line[name] = 0
+    for t in range(8):
+        event(0.125 * t, 0)
+    loop.run_until(100.0)
+    return log, counts
+
+
+def test_delay_line_dispatch_matches_per_item_scheduling():
+    """A line that schedules only its head dispatches every item at the
+    (time, seq) place that one heap entry per item gives it."""
+    log, counts = run_tie_script(DelayLine)
+    reference, _ = run_tie_script(PerItemLine)
+    assert len(log) > 200
+    times = [t for t, *_ in log]
+    assert len(times) - len(set(times)) > 100  # Plenty of exact ties.
+    assert log == reference
+    assert all(pending == expected for pending, expected in counts)
+
+
+def test_delay_line_keeps_one_heap_entry():
+    loop = EventLoop()
+    line = DelayLine(loop, 0.5, lambda item: None)
+    for i in range(10):
+        line.send(i)
+    loop.call_at(0.5, lambda: None)
+    assert loop.pending() == 2
+    loop.run_until(1.0)
+    assert loop.pending() == 0
+    assert loop.events_processed == 11
+
+
+def test_zero_delay_output_keeps_tie_order():
+    """A packet leaving a zero-delay link is delivered where a separate
+    zero-delay event scheduled at service completion would run."""
+    loop = EventLoop()
+    log = []
+    link = Link(
+        loop,
+        capacity=1e6,
+        delay=0.0,
+        buffer_bytes=5000,
+        deliver=lambda p: log.append(p.seq),
+    )
+    link.enqueue(make_packet(seq=0, size=1000))  # Done at t = 0.001.
+
+    def tie():
+        log.append("tie")
+        loop.call_later(0.0, lambda: log.append("later"))
+
+    loop.call_at(0.001, tie)
+    link.enqueue(make_packet(seq=1, size=1000))  # Done at t = 0.002.
+    loop.run_until(1.0)
+    assert log == ["tie", 0, "later", 1]

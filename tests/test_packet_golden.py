@@ -79,20 +79,48 @@ def _cases() -> Dict[str, Tuple[LinkConfig, List[FlowSpec]]]:
 CASES = _cases()
 
 GOLDEN: Dict[str, str] = {
-    "bbr2": "673035d7b876e6696f8517f28e2b4c1bf35386aabfbda408cecabd827b8ca663",
-    "capacity-trace": "63b771030b02b3fadee29026db9e086d16ee22178fd3cb32f59ab6155529ac6c",
-    "codel-2bdp": "1e10ebca9dc571a456a0cdc5779e4cb809fbd911580b694b3bb0bbb85c411482",
-    "codel-8bdp": "4b01fc2aa93f3c8ac5d1593dd087bda2d3800bf357b7324f846910f6c0620879",
-    "copa": "69038e95ed28897d86dc121e641e6a168e29c8d5fcc0c8e5a113275b4d94d6d3",
-    "dyadic-ties": "6c32056fd6b8dd43d3e86d5135be682e64e078910ba9393fc2c3685c3b4bc5c9",
-    "droptail-2bdp": "873be9250ce188bff8ca0ed6b1f620acae5b984286559d56ea32de40f8050061",
-    "droptail-8bdp": "60f3b7623cd5e204fe1ef2917e5eb37cbc3fa4f4052dc9772947e0bb379f662b",
-    "mixed-rtt": "4341da0ec9ba5326283f39f8ea5f7cfeae8304815d821ae69bc0af8e613d8143",
-    "red+ecn-2bdp": "d704f47084f6edc108336b6b5f3d62840d2f42b15290ea0aeee426e41e1eb019",
-    "red+ecn-8bdp": "0574f3cd5f5f8dea89cced21c2e0141b70f6ee4a30de99441b6ce75f97aba117",
-    "red-2bdp": "d9f9c377ba14e0dfd57b5a0f5bfd60a2fc90205e5c258991383b335eb17778de",
-    "red-8bdp": "186aaf614cc4e76a557acd7e47c2019fc40cf0ca08df2b5f86d67dbd5d472e00",
-    "vivace": "35ad596051784c18a70e6696d2a2df68a4b27b8108c99a88d8423a677983f816",
+    "bbr2": (
+        "673035d7b876e6696f8517f28e2b4c1bf35386aabfbda408cecabd827b8ca663"
+    ),
+    "capacity-trace": (
+        "63b771030b02b3fadee29026db9e086d16ee22178fd3cb32f59ab6155529ac6c"
+    ),
+    "codel-2bdp": (
+        "1e10ebca9dc571a456a0cdc5779e4cb809fbd911580b694b3bb0bbb85c411482"
+    ),
+    "codel-8bdp": (
+        "4b01fc2aa93f3c8ac5d1593dd087bda2d3800bf357b7324f846910f6c0620879"
+    ),
+    "copa": (
+        "69038e95ed28897d86dc121e641e6a168e29c8d5fcc0c8e5a113275b4d94d6d3"
+    ),
+    "dyadic-ties": (
+        "6c32056fd6b8dd43d3e86d5135be682e64e078910ba9393fc2c3685c3b4bc5c9"
+    ),
+    "droptail-2bdp": (
+        "873be9250ce188bff8ca0ed6b1f620acae5b984286559d56ea32de40f8050061"
+    ),
+    "droptail-8bdp": (
+        "60f3b7623cd5e204fe1ef2917e5eb37cbc3fa4f4052dc9772947e0bb379f662b"
+    ),
+    "mixed-rtt": (
+        "4341da0ec9ba5326283f39f8ea5f7cfeae8304815d821ae69bc0af8e613d8143"
+    ),
+    "red+ecn-2bdp": (
+        "d704f47084f6edc108336b6b5f3d62840d2f42b15290ea0aeee426e41e1eb019"
+    ),
+    "red+ecn-8bdp": (
+        "0574f3cd5f5f8dea89cced21c2e0141b70f6ee4a30de99441b6ce75f97aba117"
+    ),
+    "red-2bdp": (
+        "d9f9c377ba14e0dfd57b5a0f5bfd60a2fc90205e5c258991383b335eb17778de"
+    ),
+    "red-8bdp": (
+        "186aaf614cc4e76a557acd7e47c2019fc40cf0ca08df2b5f86d67dbd5d472e00"
+    ),
+    "vivace": (
+        "35ad596051784c18a70e6696d2a2df68a4b27b8108c99a88d8423a677983f816"
+    ),
 }
 
 
@@ -107,7 +135,8 @@ def digest(link: LinkConfig, flows: List[FlowSpec]) -> str:
     h.update(f"q={result.mean_queue_bytes!r};".encode())
     h.update(f"d={result.drop_rate!r};".encode())
     for stats in net.stats:
-        h.update(f"bins{stats.flow_id}={sorted(stats._bins.items())!r};".encode())
+        bins = sorted(stats._bins.items())
+        h.update(f"bins{stats.flow_id}={bins!r};".encode())
     return h.hexdigest()
 
 
@@ -118,4 +147,4 @@ def test_packet_outputs_match_golden(name):
 
 if __name__ == "__main__":  # pragma: no cover - re-recording helper
     for case in sorted(CASES):
-        print(f'    "{case}": "{digest(*CASES[case])}",')
+        print(f'    "{case}": (\n        "{digest(*CASES[case])}"\n    ),')
