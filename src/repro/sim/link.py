@@ -144,6 +144,7 @@ class Link:
         self._queue: Deque[tuple] = deque()  # (packet, enqueue_time)
         self._queued_bytes = 0
         self._in_service: Optional[Packet] = None
+        # Bound once, not once per packet entering service.
         self._finish = self._finish_service
         # Conservation-audit tallies, maintained only when a checker is
         # attached (the audit needs every byte offered since t=0).
@@ -370,6 +371,7 @@ class DelayLine:
         self.deliver = deliver
         #: Heap entries ``(time, seq, fire, item)`` in key order.
         self._items: Deque[tuple] = deque()
+        # Bound once, not once per item sent.
         self._fire_head = self._fire
 
     def send(self, item: object) -> None:

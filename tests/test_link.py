@@ -271,18 +271,6 @@ def test_delay_line_dispatch_matches_per_item_scheduling():
     assert all(pending == expected for pending, expected in counts)
 
 
-def test_delay_line_keeps_one_heap_entry():
-    loop = EventLoop()
-    line = DelayLine(loop, 0.5, lambda item: None)
-    for i in range(10):
-        line.send(i)
-    loop.call_at(0.5, lambda: None)
-    assert loop.pending() == 2
-    loop.run_until(1.0)
-    assert loop.pending() == 0
-    assert loop.events_processed == 11
-
-
 def test_zero_delay_output_keeps_tie_order():
     """A packet leaving a zero-delay link is delivered where a separate
     zero-delay event scheduled at service completion would run."""

@@ -3,8 +3,10 @@
 Each case runs a short dumbbell and hashes everything a result carries:
 every :class:`FlowResult` field (as ``repr``), the mean queue, the drop
 rate and each flow's per-bin delivery record.  The digests were recorded
-before the event path was optimised; any change to event order, float
-arithmetic or bookkeeping in ``repro.sim`` shows up here as a mismatch.
+before the event path was optimised, so a change to event order, float
+arithmetic or bookkeeping in ``repro.sim`` that reaches the results
+shows up here as a mismatch.  The ``dyadic-ties`` case makes many events
+tie exactly; ``tests/test_link.py`` checks tie order event by event.
 
 To re-record after an *intentional* behaviour change::
 
