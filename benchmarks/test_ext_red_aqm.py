@@ -11,7 +11,6 @@ toward BBR (i.e. *fewer* CUBIC flows at the NE than under drop-tail).
 """
 
 from repro.core.game import bisect_nash
-from repro.sim.aqm import CoDelConfig, REDConfig
 from repro.sim.network import FlowSpec, run_dumbbell
 from repro.util.config import LinkConfig
 
@@ -20,13 +19,7 @@ DURATION = 60.0
 
 
 def _ne_search(discipline: str):
-    link = LinkConfig.from_mbps_ms(10, 20, 6)
-    red_config = (
-        REDConfig.for_buffer(link.buffer_bytes)
-        if discipline == "red"
-        else None
-    )
-    codel_config = CoDelConfig() if discipline == "codel" else None
+    link = LinkConfig.from_mbps_ms(10, 20, 6, aqm=discipline)
 
     def fn(k: int):
         flows = [FlowSpec("cubic") for _ in range(N_FLOWS - k)] + [
@@ -37,8 +30,6 @@ def _ne_search(discipline: str):
             flows,
             duration=DURATION,
             warmup=DURATION / 6,
-            red=red_config,
-            codel=codel_config,
         )
         cubic = result.by_cc("cubic")
         bbr = result.by_cc("bbr")

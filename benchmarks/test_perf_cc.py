@@ -5,27 +5,23 @@ The laws refactor put every control-law kernel behind
 adapters; this benchmark guards the cost of that indirection.  Each
 algorithm's controller is driven with a synthetic ACK stream (the same
 shape the packet simulator produces) and the achieved ACKs/second per
-algorithm is appended to ``BENCH_cc.json`` at the repo root.  When the
-file already holds records from the same machine, the run must stay
-within ``REGRESSION_SLACK`` of the best recorded rate — a >5% slowdown
-of the hot path fails the suite on a like-for-like machine.
+algorithm is appended to ``BENCH_cc.json`` at the repo root (through
+:mod:`ledger`).  When the file already holds records from the same
+machine, the run must stay within ``ledger.REGRESSION_SLACK`` of the
+recorded median rate — a >5% slowdown of the hot path fails the suite
+on a like-for-like machine.
 """
 
-import json
-import pathlib
-import platform
 import time
 
 import pytest
 
+from ledger import Ledger, guard_regression
 from repro.cc import make_controller
 from repro.cc.laws import canonical_names
 from repro.cc.signals import LossEvent, RateSample
 
-BENCH_PATH = pathlib.Path(__file__).resolve().parent.parent / "BENCH_cc.json"
-
-#: Tolerated slowdown vs the best recorded rate on this machine.
-REGRESSION_SLACK = 0.05
+LEDGER = Ledger("BENCH_cc.json")
 
 #: Any machine should push at least this many ACKs/s through one
 #: controller; an order-of-magnitude collapse means an accidental
@@ -68,22 +64,6 @@ def test_perf_on_ack(benchmark, name):
     benchmark(lambda: _drive(make_controller(name)))
 
 
-def _append_record(entry):
-    records = (
-        json.loads(BENCH_PATH.read_text()) if BENCH_PATH.exists() else []
-    )
-    records.append(entry)
-    BENCH_PATH.write_text(json.dumps(records, indent=2) + "\n")
-
-
-def _median(values):
-    ordered = sorted(values)
-    mid = len(ordered) // 2
-    if len(ordered) % 2:
-        return ordered[mid]
-    return (ordered[mid - 1] + ordered[mid]) / 2.0
-
-
 def _measure_rate(name):
     """Best-of-5 CPU-time rate for one controller, in ACKs/second.
 
@@ -112,22 +92,8 @@ def test_on_ack_throughput_trajectory():
     """
     rates = {name: _measure_rate(name) for name in canonical_names()}
 
-    machine = platform.machine()
-    prior = []
-    if BENCH_PATH.exists():
-        prior = [
-            record
-            for record in json.loads(BENCH_PATH.read_text())
-            if record.get("machine") == machine
-        ]
-    _append_record(
-        {
-            "date": time.strftime("%Y-%m-%dT%H:%M:%S"),
-            "machine": machine,
-            "acks": ACKS,
-            "acks_per_s": rates,
-        }
-    )
+    prior = LEDGER.same_machine()
+    LEDGER.append(acks=ACKS, acks_per_s=rates)
 
     assert min(rates.values()) > ABSOLUTE_FLOOR_ACKS_PER_S, rates
     for name, rate in rates.items():
@@ -136,15 +102,10 @@ def test_on_ack_throughput_trajectory():
             for record in prior
             if name in record.get("acks_per_s", {})
         ]
-        if not history:
-            continue
-        threshold = (1.0 - REGRESSION_SLACK) * _median(history)
-        for _ in range(3):  # Re-measure: noise clears, regressions don't.
-            if rate >= threshold:
-                break
-            rate = _measure_rate(name)
-        assert rate >= threshold, (
-            f"{name}: {rate} acks/s is more than "
-            f"{REGRESSION_SLACK:.0%} below the recorded median "
-            f"{_median(history)}"
+        guard_regression(
+            rate,
+            history,
+            lambda name=name: _measure_rate(name),
+            "acks/s",
+            label=name,
         )

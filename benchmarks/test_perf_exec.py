@@ -2,26 +2,24 @@
 and the figure-level determinism guard.
 
 The speedup trajectory is appended to ``BENCH_exec.json`` at the repo
-root — one record per run with the machine's core count and the
-measured sequential / parallel / warm-cache wall times — so the
-engine's scaling behavior is tracked across commits.  The >= 2x
+root through :mod:`ledger` — one record per run with the machine's core
+count and the measured sequential / parallel / warm-cache wall times —
+so the engine's scaling behavior is tracked across commits.  The >= 2x
 speedup assertion only fires on machines with at least 4 cores; on
 smaller runners the trajectory is still recorded but process-pool
 overhead makes a speedup target meaningless.
 """
 
-import json
 import os
-import pathlib
-import platform
 import time
 
+from ledger import Ledger
 from repro.exec import Engine, ResultCache, ScenarioPoint
 from repro.experiments.figures import figure9
 from repro.obs import Telemetry
 from repro.util.config import LinkConfig
 
-BENCH_PATH = pathlib.Path(__file__).resolve().parent.parent / "BENCH_exec.json"
+LEDGER = Ledger("BENCH_exec.json")
 
 SWEEP_SIZE = 8
 
@@ -49,14 +47,6 @@ def _vec_sweep_points(duration=40.0):
         )
         for i in range(SWEEP_SIZE)
     ]
-
-
-def _append_record(entry):
-    records = (
-        json.loads(BENCH_PATH.read_text()) if BENCH_PATH.exists() else []
-    )
-    records.append(entry)
-    BENCH_PATH.write_text(json.dumps(records, indent=2) + "\n")
 
 
 def test_perf_exec_sequential_sweep(benchmark):
@@ -128,21 +118,17 @@ def test_parallel_speedup_trajectory(tmp_path):
     chunked_speedup = (
         unchunked_s / chunked_s if chunked_s > 0 else float("inf")
     )
-    _append_record(
-        {
-            "date": time.strftime("%Y-%m-%dT%H:%M:%S"),
-            "machine": platform.machine(),
-            "cpu_count": cores,
-            "points": len(points),
-            "jobs": jobs,
-            "sequential_s": round(sequential_s, 4),
-            "parallel_s": round(parallel_s, 4),
-            "speedup": round(speedup, 3),
-            "warm_cache_s": round(warm_s, 4),
-            "vec_unchunked_s": round(unchunked_s, 4),
-            "vec_chunked_s": round(chunked_s, 4),
-            "chunked_speedup": round(chunked_speedup, 3),
-        }
+    LEDGER.append(
+        cpu_count=cores,
+        points=len(points),
+        jobs=jobs,
+        sequential_s=round(sequential_s, 4),
+        parallel_s=round(parallel_s, 4),
+        speedup=round(speedup, 3),
+        warm_cache_s=round(warm_s, 4),
+        vec_unchunked_s=round(unchunked_s, 4),
+        vec_chunked_s=round(chunked_s, 4),
+        chunked_speedup=round(chunked_speedup, 3),
     )
     assert chunked_speedup > 1.0, (
         f"expected chunked fluid-vec sweep to beat one-point-per-call, "

@@ -5,7 +5,7 @@ reason — campaign throughput — so this benchmark measures exactly
 that: how many flow-ticks per second each substrate advances on the
 paper's canonical 50-flow contention scenarios, and the resulting
 batched speedup.  Results are appended to ``BENCH_fluid.json`` at the
-repo root, mirroring the ``BENCH_cc`` trajectory file.
+repo root through :mod:`ledger`, like the ``BENCH_cc`` trajectory file.
 
 Two guards ride on the numbers:
 
@@ -14,30 +14,24 @@ Two guards ride on the numbers:
   CUBIC+BBR and all-BBR speedups are recorded for the trajectory but
   not gated — BBR's windowed max filter leaves less arithmetic to
   amortize, and their ratios sit near the threshold.
-* The vectorized flow-tick rate must stay within ``REGRESSION_SLACK``
-  of the median of this machine's prior records, re-measured before a
-  failure counts (noise clears on retry, structural slowdowns don't).
+* The vectorized flow-tick rate must stay within
+  ``ledger.REGRESSION_SLACK`` of the median of this machine's prior
+  records, re-measured before a failure counts (noise clears on retry,
+  structural slowdowns don't).
 
 Speedups are computed from back-to-back in-process timings: scalar
 wall time on this container fluctuates by tens of percent between
 runs, so a ratio against a stored baseline would be meaningless.
 """
 
-import json
-import pathlib
-import platform
 import time
 
+from ledger import REMEASURES, Ledger, guard_regression
 from repro.fluidsim import BatchPoint, FluidSpec, run_fluid
 from repro.fluidsim import run_fluid_vec_batch
 from repro.util.config import LinkConfig
 
-BENCH_PATH = (
-    pathlib.Path(__file__).resolve().parent.parent / "BENCH_fluid.json"
-)
-
-#: Tolerated slowdown vs the median recorded vec rate on this machine.
-REGRESSION_SLACK = 0.05
+LEDGER = Ledger("BENCH_fluid.json")
 
 #: The headline claim, asserted on the all-CUBIC scenario.
 MIN_SPEEDUP = 10.0
@@ -113,50 +107,23 @@ def _measure_scenario(name, repeats=2):
     }
 
 
-def _append_record(entry):
-    records = (
-        json.loads(BENCH_PATH.read_text()) if BENCH_PATH.exists() else []
-    )
-    records.append(entry)
-    BENCH_PATH.write_text(json.dumps(records, indent=2) + "\n")
-
-
-def _median(values):
-    ordered = sorted(values)
-    mid = len(ordered) // 2
-    if len(ordered) % 2:
-        return ordered[mid]
-    return (ordered[mid - 1] + ordered[mid]) / 2.0
-
-
 def test_fluid_tick_throughput_trajectory():
     """Record per-scenario tick rates; gate the CUBIC speedup claim."""
     results = {name: _measure_scenario(name) for name in SCENARIOS}
 
-    machine = platform.machine()
-    prior = []
-    if BENCH_PATH.exists():
-        prior = [
-            record
-            for record in json.loads(BENCH_PATH.read_text())
-            if record.get("machine") == machine
-        ]
-    _append_record(
-        {
-            "date": time.strftime("%Y-%m-%dT%H:%M:%S"),
-            "machine": machine,
-            "n_flows": N_FLOWS,
-            "duration_s": DURATION,
-            "batch": BATCH,
-            "scenarios": results,
-        }
+    prior = LEDGER.same_machine()
+    LEDGER.append(
+        n_flows=N_FLOWS,
+        duration_s=DURATION,
+        batch=BATCH,
+        scenarios=results,
     )
 
     # Headline acceptance: batched vec is >= 10x scalar on 50 CUBIC
     # flows.  Re-measure before failing — the ratio is back-to-back,
     # but a scheduler stall inside one leg can still skew a reading.
     cubic = results["cubic"]
-    for _ in range(3):
+    for _ in range(REMEASURES):
         if cubic["speedup"] >= MIN_SPEEDUP:
             break
         cubic = _measure_scenario("cubic")
@@ -175,16 +142,10 @@ def test_fluid_tick_throughput_trajectory():
             for record in prior
             if name in record.get("scenarios", {})
         ]
-        if not history:
-            continue
-        threshold = (1.0 - REGRESSION_SLACK) * _median(history)
-        rate = result["vec_ticks_per_s"]
-        for _ in range(3):  # Re-measure: noise clears, regressions don't.
-            if rate >= threshold:
-                break
-            rate = _measure_scenario(name)["vec_ticks_per_s"]
-        assert rate >= threshold, (
-            f"{name}: {rate} flow-ticks/s is more than "
-            f"{REGRESSION_SLACK:.0%} below the recorded median "
-            f"{_median(history)}"
+        guard_regression(
+            result["vec_ticks_per_s"],
+            history,
+            lambda name=name: _measure_scenario(name)["vec_ticks_per_s"],
+            "flow-ticks/s",
+            label=name,
         )

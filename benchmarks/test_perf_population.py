@@ -7,18 +7,17 @@ in-process memo hit or one closed-form evaluation routed through
 (100 flows) under replicator dynamics with the oracle pinned to tier 0
 and appends the achieved ticks/second — plus the engine-level tier-0
 hit rate of a warm-cache rerun — to ``BENCH_population.json`` at the
-repo root.  When the file already holds records from the same machine,
-the run must stay within ``REGRESSION_SLACK`` of the recorded median;
+repo root through :mod:`ledger`.  When the file already holds records
+from the same machine, the run must stay within
+``ledger.REGRESSION_SLACK`` of the recorded median;
 a collapse means a simulation or an uncached model evaluation landed
 on the per-tick path.
 """
 
-import json
-import pathlib
-import platform
 import tempfile
 import time
 
+from ledger import Ledger, guard_regression
 from repro.exec import Engine, ResultCache
 from repro.population import (
     CellSpec,
@@ -28,13 +27,7 @@ from repro.population import (
 )
 from repro.util.config import LinkConfig
 
-BENCH_PATH = (
-    pathlib.Path(__file__).resolve().parent.parent
-    / "BENCH_population.json"
-)
-
-#: Tolerated slowdown vs the recorded median rate on this machine.
-REGRESSION_SLACK = 0.05
+LEDGER = Ledger("BENCH_population.json")
 
 #: Any machine should clear this many tier-0 ticks/s on one cell; an
 #: order-of-magnitude collapse means per-tick work stopped being a
@@ -61,14 +54,6 @@ def _run(engine=None, seed=0):
         seed=seed,
         oracle=TieredOracle(engine=engine, force_tier=0),
     )
-
-
-def _median(values):
-    ordered = sorted(values)
-    mid = len(ordered) // 2
-    if len(ordered) % 2:
-        return ordered[mid]
-    return (ordered[mid - 1] + ordered[mid]) / 2.0
 
 
 def _measure_ticks_per_s():
@@ -103,14 +88,6 @@ def _tier0_hit_rate():
         return stats["cache_hits"] / max(stats["submitted"], 1)
 
 
-def _append_record(entry):
-    records = (
-        json.loads(BENCH_PATH.read_text()) if BENCH_PATH.exists() else []
-    )
-    records.append(entry)
-    BENCH_PATH.write_text(json.dumps(records, indent=2) + "\n")
-
-
 def test_population_tick_rate_trajectory():
     """Record ticks/s + tier-0 hit rate and guard against regression.
 
@@ -122,23 +99,12 @@ def test_population_tick_rate_trajectory():
     rate = _measure_ticks_per_s()
     hit_rate = _tier0_hit_rate()
 
-    machine = platform.machine()
-    prior = []
-    if BENCH_PATH.exists():
-        prior = [
-            record
-            for record in json.loads(BENCH_PATH.read_text())
-            if record.get("machine") == machine
-        ]
-    _append_record(
-        {
-            "date": time.strftime("%Y-%m-%dT%H:%M:%S"),
-            "machine": machine,
-            "ticks": TICKS,
-            "flows": FLOWS,
-            "ticks_per_s": rate,
-            "tier0_hit_rate": round(hit_rate, 4),
-        }
+    prior = LEDGER.same_machine()
+    LEDGER.append(
+        ticks=TICKS,
+        flows=FLOWS,
+        ticks_per_s=rate,
+        tier0_hit_rate=round(hit_rate, 4),
     )
 
     assert rate > ABSOLUTE_FLOOR_TICKS_PER_S, rate
@@ -151,16 +117,7 @@ def test_population_tick_rate_trajectory():
         for record in prior
         if "ticks_per_s" in record
     ]
-    if history:
-        threshold = (1.0 - REGRESSION_SLACK) * _median(history)
-        for _ in range(3):  # Re-measure: noise clears, regressions don't.
-            if rate >= threshold:
-                break
-            rate = _measure_ticks_per_s()
-        assert rate >= threshold, (
-            f"{rate} ticks/s is more than {REGRESSION_SLACK:.0%} below "
-            f"the recorded median {_median(history)}"
-        )
+    guard_regression(rate, history, _measure_ticks_per_s, "ticks/s")
 
 
 def test_deterministic_across_engines():

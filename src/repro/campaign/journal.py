@@ -18,10 +18,8 @@ stopped.
 
 Reading is streaming: :meth:`Journal.iter_records` yields one record at
 a time from an open handle, so resume/status/``top`` over a million-unit
-journal never materialize the whole file (:meth:`Journal.load` is the
-small-campaign convenience that collects the stream into a list).
-Reads are gzip-transparent — an archived ``journal.jsonl.gz`` resolves
-wherever the plain name would.
+journal never materialize the whole file.  Reads are gzip-transparent —
+an archived ``journal.jsonl.gz`` resolves wherever the plain name would.
 """
 
 from __future__ import annotations
@@ -30,7 +28,7 @@ import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterator, Optional, Tuple, Union
 
 from repro import __version__
 from repro.obs.export import open_maybe_gzip
@@ -165,8 +163,7 @@ class Journal:
         process and dropped; anything malformed before the end raises
         :class:`JournalError`.  When ``expect_fingerprint`` is given, a
         header mismatch fails loudly — resuming a directory with a
-        *different* spec would silently mix studies.  The validated
-        header is kept on ``self._header`` for :meth:`load`.
+        *different* spec would silently mix studies.
         """
         lines = self._lines()
         first = next(lines, None)
@@ -241,15 +238,3 @@ class Journal:
                     f"{self.path}:{number}: malformed unit record: {exc}"
                 ) from None
             yield record
-
-    def load(
-        self, expect_fingerprint: Optional[str] = None
-    ) -> Tuple[Dict[str, Any], List[JournalRecord]]:
-        """Parse the whole journal into ``(header, completed records)``.
-
-        The list-building convenience over :meth:`iter_records` — fine
-        for tests and small campaigns; streaming callers should consume
-        the iterator directly.
-        """
-        records = list(self.iter_records(expect_fingerprint))
-        return self._header, records

@@ -30,7 +30,7 @@ from repro.scenario.spec import (
     DropTailSpec,
     REDSpec,
 )
-from repro.sim.aqm import CoDel, CoDelConfig
+from repro.sim.aqm import CoDel
 
 
 class FluidRed:
@@ -88,9 +88,7 @@ class FluidCodel:
     def __init__(self, spec: CoDelSpec, mss: float) -> None:
         self.ecn = spec.ecn
         self.mss = float(mss)
-        self._codel = CoDel(
-            CoDelConfig(target=spec.target, interval=spec.interval)
-        )
+        self._codel = CoDel(spec)
 
     def tick(
         self, now: float, queue: float, capacity: float, dt: float
@@ -112,8 +110,8 @@ def make_fluid_aqm(
     link: BottleneckSpec, dt: float
 ) -> Union[FluidAqm, None]:
     """The fluid AQM decision object for ``link``, or None for drop-tail."""
-    aqm = getattr(link, "aqm", None)
-    if aqm is None or isinstance(aqm, DropTailSpec):
+    aqm = link.aqm
+    if isinstance(aqm, DropTailSpec):
         return None
     if isinstance(aqm, REDSpec):
         return FluidRed(

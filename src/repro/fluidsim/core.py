@@ -162,8 +162,8 @@ class FluidSimulation:
         # adds deterministic per-tick drop/mark volumes.  Both are None
         # on the drop-tail/constant default, leaving the historical tick
         # loop untouched bit for bit.
-        trace = getattr(link, "capacity_trace", None)
-        if trace is not None and not trace.is_constant:
+        trace = link.capacity_trace
+        if not trace.is_constant:
             self._cap_events = list(trace.change_events())
             self.capacity_now = link.capacity * trace.scale_at(0.0)
         else:

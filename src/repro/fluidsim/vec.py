@@ -267,8 +267,8 @@ class VecFluidSim:
         self._cap_cursor = [0] * n_points
         trace_points: List[int] = []
         for p, point in enumerate(self.points):
-            trace = getattr(point.link, "capacity_trace", None)
-            if trace is not None and not trace.is_constant:
+            trace = point.link.capacity_trace
+            if not trace.is_constant:
                 self._cap_events.append(list(trace.change_events()))
                 self._capacity[p] = (
                     point.link.capacity * trace.scale_at(0.0)

@@ -87,8 +87,9 @@ class REDSpec:
 
     Thresholds are *fractions* rather than bytes so the same spec
     composes with buffer-depth sweeps: a campaign axis over
-    ``buffer_bdp`` rescales the RED thresholds with the buffer, exactly
-    like :meth:`repro.sim.aqm.REDConfig.for_buffer`.
+    ``buffer_bdp`` rescales the RED thresholds with the buffer.  The
+    defaults are Floyd's rule of thumb: min at 1/6 of the buffer, max at
+    1/2 (max = 3 × min).
 
     Attributes:
         min_frac: ``min_threshold = min_frac × buffer_bytes``.
@@ -145,7 +146,8 @@ class CoDelSpec:
 
     Attributes:
         target: Target sojourn time in seconds.
-        interval: Sliding window for the target in seconds.
+        interval: Sliding window for the target in seconds; must
+            exceed ``target``.
         ecn: Mark at the head instead of dropping.
     """
 
@@ -161,8 +163,11 @@ class CoDelSpec:
         object.__setattr__(self, "ecn", bool(self.ecn))
         if self.target <= 0:
             raise ValueError(f"target must be positive, got {self.target}")
-        if self.interval <= 0:
-            raise ValueError(f"interval must be positive, got {self.interval}")
+        if self.interval <= self.target:
+            raise ValueError(
+                "CoDel interval must exceed target, got "
+                f"interval={self.interval} target={self.target}"
+            )
 
     def to_dict(self) -> Dict[str, Any]:
         """Canonical JSON form (all fields, explicit)."""

@@ -7,7 +7,7 @@ Linux-style delivery-rate sampling (:mod:`repro.sim.endpoints`), and a
 dumbbell topology builder (:mod:`repro.sim.network`).
 """
 
-from repro.sim.aqm import RED, CoDel, CoDelConfig, REDConfig
+from repro.sim.aqm import RED, CoDel, make_aqm
 from repro.sim.engine import EventLoop
 from repro.sim.link import DelayLine, Link, LinkStats
 from repro.sim.network import (
@@ -23,9 +23,8 @@ from repro.sim.trace import CwndTracer, TraceSample
 
 __all__ = [
     "RED",
-    "REDConfig",
     "CoDel",
-    "CoDelConfig",
+    "make_aqm",
     "CwndTracer",
     "TraceSample",
     "EventLoop",

@@ -13,73 +13,41 @@ interface the :class:`repro.sim.link.Link` calls:
 RED:
 
 * an EWMA of the queue size is maintained on every arrival;
-* below ``min_threshold`` packets are always accepted;
-* above ``max_threshold`` they are always dropped;
+* below the min threshold packets are always accepted;
+* above the max threshold they are always dropped;
 * in between they are dropped with probability ramping to ``max_p``,
   spread out by the standard ``count`` correction so drops are roughly
   uniformly spaced rather than bursty.
 
 (Floyd & Jacobson 1993, with the "gentle" region omitted for clarity.)
+
+Both are configured only by the scenario schema
+(:class:`repro.scenario.REDSpec` / :class:`repro.scenario.CoDelSpec`);
+:func:`make_aqm` builds the discipline a :class:`BottleneckSpec` names,
+the packet twin of :func:`repro.fluidsim.aqmfluid.make_fluid_aqm`.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
-from typing import Optional
+from typing import Union
 
-
-@dataclass(frozen=True)
-class REDConfig:
-    """RED parameters, in bytes.
-
-    Attributes:
-        min_threshold: EWMA queue size below which nothing is dropped.
-        max_threshold: EWMA queue size above which everything is dropped.
-        max_p: Drop probability as the EWMA reaches ``max_threshold``.
-        weight: EWMA weight for queue-size averaging (Floyd's w_q).
-        seed: RNG seed for the drop lottery (determinism across runs).
-    """
-
-    min_threshold: float
-    max_threshold: float
-    max_p: float = 0.1
-    weight: float = 0.002
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if not 0 < self.min_threshold < self.max_threshold:
-            raise ValueError(
-                "need 0 < min_threshold < max_threshold, got "
-                f"{self.min_threshold}/{self.max_threshold}"
-            )
-        if not 0 < self.max_p <= 1:
-            raise ValueError(f"max_p must be in (0, 1], got {self.max_p}")
-        if not 0 < self.weight <= 1:
-            raise ValueError(
-                f"weight must be in (0, 1], got {self.weight}"
-            )
-
-    @classmethod
-    def for_buffer(
-        cls, buffer_bytes: float, seed: int = 0
-    ) -> "REDConfig":
-        """Floyd's rule-of-thumb thresholds for a given physical buffer:
-        min at 1/6 of the buffer, max at 1/2 (max = 3 × min)."""
-        return cls(
-            min_threshold=buffer_bytes / 6.0,
-            max_threshold=buffer_bytes / 2.0,
-            seed=seed,
-        )
+from repro.scenario.spec import BottleneckSpec, CoDelSpec, REDSpec
 
 
 class RED:
-    """RED drop decision state for one queue."""
+    """RED drop decision state for one queue.
 
-    def __init__(self, config: REDConfig) -> None:
-        self.config = config
-        self._rng = random.Random(config.seed)
+    Thresholds are the spec's buffer fractions resolved against
+    ``buffer_bytes`` (the physical buffer of the bottleneck).
+    """
+
+    def __init__(self, spec: REDSpec, buffer_bytes: float) -> None:
+        self.spec = spec
+        self.min_th = spec.min_frac * buffer_bytes
+        self.max_th = spec.max_frac * buffer_bytes
+        self._rng = random.Random(spec.seed)
         self.avg = 0.0
         self._count = -1  # Packets since the last early drop.
 
@@ -88,19 +56,19 @@ class RED:
 
         Called once per packet arrival, *before* enqueueing.
         """
-        cfg = self.config
-        self.avg = (1.0 - cfg.weight) * self.avg + cfg.weight * queue_bytes
-        if self.avg < cfg.min_threshold:
+        spec = self.spec
+        self.avg = (1.0 - spec.weight) * self.avg + spec.weight * queue_bytes
+        if self.avg < self.min_th:
             self._count = -1
             return False
-        if self.avg >= cfg.max_threshold:
+        if self.avg >= self.max_th:
             self._count = 0
             return True
         self._count += 1
         base_p = (
-            cfg.max_p
-            * (self.avg - cfg.min_threshold)
-            / (cfg.max_threshold - cfg.min_threshold)
+            spec.max_p
+            * (self.avg - self.min_th)
+            / (self.max_th - self.min_th)
         )
         # Floyd's uniformization: p_a = p_b / (1 − count·p_b).
         denominator = 1.0 - self._count * base_p
@@ -121,29 +89,6 @@ class RED:
         return False
 
 
-@dataclass(frozen=True)
-class CoDelConfig:
-    """CoDel parameters (RFC 8289 defaults).
-
-    Attributes:
-        target: Acceptable standing queue delay (sojourn), seconds.
-        interval: Sliding window over which the sojourn must stay above
-            target before dropping starts, seconds (≈ a worst-case RTT).
-    """
-
-    target: float = 0.005
-    interval: float = 0.100
-
-    def __post_init__(self) -> None:
-        if self.target <= 0:
-            raise ValueError(f"target must be positive, got {self.target}")
-        if self.interval <= self.target:
-            raise ValueError(
-                "interval must exceed target, got "
-                f"{self.interval} <= {self.target}"
-            )
-
-
 class CoDel:
     """Controlled-Delay AQM (Nichols & Jacobson, RFC 8289, simplified).
 
@@ -156,8 +101,8 @@ class CoDel:
     paper's "Taming the Zoo" question against.
     """
 
-    def __init__(self, config: Optional[CoDelConfig] = None) -> None:
-        self.config = config if config is not None else CoDelConfig()
+    def __init__(self, spec: CoDelSpec = CoDelSpec()) -> None:
+        self.spec = spec
         self._first_above_time = 0.0
         self._dropping = False
         self._drop_next = 0.0
@@ -169,38 +114,48 @@ class CoDel:
 
     def on_dequeue(self, now: float, sojourn: float) -> bool:
         """Decide whether the packet now exiting the queue is dropped."""
-        cfg = self.config
+        spec = self.spec
         ok_to_drop = self._update_first_above(now, sojourn)
         if self._dropping:
             if not ok_to_drop:
                 self._dropping = False
             elif now >= self._drop_next:
                 self._count += 1
-                self._drop_next = now + cfg.interval / math.sqrt(
+                self._drop_next = now + spec.interval / math.sqrt(
                     self._count
                 )
                 return True
             return False
         if ok_to_drop and (
-            now - self._drop_next < cfg.interval
-            or now - self._first_above_time >= cfg.interval
+            now - self._drop_next < spec.interval
+            or now - self._first_above_time >= spec.interval
         ):
             self._dropping = True
             # Resume near the previous drop rate if we dropped recently.
-            if now - self._drop_next < cfg.interval:
+            if now - self._drop_next < spec.interval:
                 self._count = max(self._count - 2, 1)
             else:
                 self._count = 1
-            self._drop_next = now + cfg.interval / math.sqrt(self._count)
+            self._drop_next = now + spec.interval / math.sqrt(self._count)
             return True
         return False
 
     def _update_first_above(self, now: float, sojourn: float) -> bool:
-        cfg = self.config
-        if sojourn < cfg.target:
+        spec = self.spec
+        if sojourn < spec.target:
             self._first_above_time = 0.0
             return False
         if self._first_above_time == 0.0:
-            self._first_above_time = now + cfg.interval
+            self._first_above_time = now + spec.interval
             return False
         return now >= self._first_above_time
+
+
+def make_aqm(link: BottleneckSpec) -> Union[RED, CoDel, None]:
+    """The packet AQM for ``link``, or None for drop-tail."""
+    aqm = link.aqm
+    if isinstance(aqm, REDSpec):
+        return RED(aqm, link.buffer_bytes)
+    if isinstance(aqm, CoDelSpec):
+        return CoDel(aqm)
+    return None

@@ -14,9 +14,9 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.check.core import Checker
     from repro.obs.bus import Telemetry
-    from repro.sim.aqm import CoDelConfig, REDConfig
 
 from repro.cc.base import make_controller
+from repro.sim.aqm import make_aqm
 from repro.sim.endpoints import Receiver, Sender
 from repro.sim.engine import EventLoop
 from repro.sim.link import DelayLine, Link
@@ -97,19 +97,14 @@ class DumbbellNetwork:
     """N senders → shared drop-tail bottleneck → N receivers.
 
     Args:
-        link: Bottleneck configuration (capacity, base RTT, buffer depth).
+        link: Bottleneck configuration (capacity, base RTT, buffer
+            depth).  ``link.aqm`` picks the queue discipline and its ECN
+            flag (RED/CoDel instead of pure drop-tail, the paper's §5
+            "Taming the Zoo" direction); a non-constant
+            ``link.capacity_trace`` schedules bottleneck capacity changes
+            on the event loop.
         flows: One :class:`FlowSpec` per flow.
         mss: Segment size in bytes for all flows.
-        red: Optional :class:`repro.sim.aqm.REDConfig` to run the
-            bottleneck with RED instead of pure drop-tail (the paper's
-            §5 "Taming the Zoo" direction).
-        codel: Optional :class:`repro.sim.aqm.CoDelConfig` for CoDel at
-            the bottleneck.  Mutually exclusive with ``red``.
-            When neither is given, the AQM (and its ECN flag) is derived
-            from ``link.aqm`` — the canonical scenario-schema path; the
-            explicit arguments exist for direct experimentation and
-            override the spec.  A non-constant ``link.capacity_trace``
-            schedules bottleneck capacity changes on the event loop.
         obs: Optional telemetry bus, threaded through the event loop,
             bottleneck link, senders, and congestion controllers.  When
             the bus has a ``sample_interval``, a
@@ -126,19 +121,13 @@ class DumbbellNetwork:
         link: LinkConfig,
         flows: Sequence[FlowSpec],
         mss: Optional[int] = None,
-        red: Optional["REDConfig"] = None,
-        codel: Optional["CoDelConfig"] = None,
         obs: Optional["Telemetry"] = None,
         check: Optional["Checker"] = None,
     ) -> None:
         from repro.check import resolve as resolve_check
-        from repro.scenario import CoDelSpec, REDSpec
-        from repro.sim.aqm import RED, CoDel, CoDelConfig, REDConfig
 
         if not flows:
             raise ValueError("at least one flow is required")
-        if red is not None and codel is not None:
-            raise ValueError("choose at most one AQM (red or codel)")
         check = resolve_check(check)
         self.link_config = link
         self.flow_specs = list(flows)
@@ -147,33 +136,9 @@ class DumbbellNetwork:
         self.check = check
         self.loop = EventLoop(obs=obs, check=check)
 
-        # Derive the AQM from the scenario spec unless explicit configs
-        # override it (the legacy direct-experimentation path).
-        ecn = False
-        spec_aqm = getattr(link, "aqm", None)
-        if red is None and codel is None and spec_aqm is not None:
-            if isinstance(spec_aqm, REDSpec):
-                red = REDConfig(
-                    min_threshold=spec_aqm.min_frac * link.buffer_bytes,
-                    max_threshold=spec_aqm.max_frac * link.buffer_bytes,
-                    max_p=spec_aqm.max_p,
-                    weight=spec_aqm.weight,
-                    seed=spec_aqm.seed,
-                )
-                ecn = spec_aqm.ecn
-            elif isinstance(spec_aqm, CoDelSpec):
-                codel = CoDelConfig(
-                    target=spec_aqm.target, interval=spec_aqm.interval
-                )
-                ecn = spec_aqm.ecn
-
-        aqm = None
-        if red is not None:
-            aqm = RED(red)
-        elif codel is not None:
-            aqm = CoDel(codel)
-        trace = getattr(link, "capacity_trace", None)
-        dynamic = trace is not None and not trace.is_constant
+        aqm = make_aqm(link)
+        trace = link.capacity_trace
+        dynamic = not trace.is_constant
         initial_scale = trace.scale_at(0.0) if dynamic else 1.0
         self.bottleneck = Link(
             loop=self.loop,
@@ -184,7 +149,7 @@ class DumbbellNetwork:
             buffer_bytes=link.buffer_bytes,
             deliver=self._route_data,
             aqm=aqm,
-            ecn=ecn,
+            ecn=aqm is not None and link.aqm.ecn,
             obs=obs,
             check=check,
         )
@@ -293,8 +258,6 @@ def run_dumbbell(
     duration: float,
     warmup: float = 0.0,
     mss: Optional[int] = None,
-    red: Optional["REDConfig"] = None,
-    codel: Optional["CoDelConfig"] = None,
     obs: Optional["Telemetry"] = None,
     check: Optional["Checker"] = None,
 ) -> SimulationResult:
@@ -311,8 +274,6 @@ def run_dumbbell(
         link,
         flows,
         mss=mss,
-        red=red,
-        codel=codel,
         obs=resolve(obs),
         check=check,
     ).run(duration, warmup)

@@ -2,41 +2,35 @@
 
 import pytest
 
-from repro.sim.aqm import RED, REDConfig
+from repro.scenario import REDSpec
+from repro.sim.aqm import RED, make_aqm
 from repro.sim.network import FlowSpec, run_dumbbell
 from repro.util.config import LinkConfig
 
 
-class TestREDConfig:
-    def test_threshold_ordering_enforced(self):
-        with pytest.raises(ValueError):
-            REDConfig(min_threshold=10, max_threshold=10)
-        with pytest.raises(ValueError):
-            REDConfig(min_threshold=0, max_threshold=10)
-
-    def test_parameter_ranges(self):
-        with pytest.raises(ValueError):
-            REDConfig(1, 2, max_p=0)
-        with pytest.raises(ValueError):
-            REDConfig(1, 2, weight=1.5)
-
-    def test_for_buffer_rule_of_thumb(self):
-        cfg = REDConfig.for_buffer(600_000)
-        assert cfg.min_threshold == pytest.approx(100_000)
-        assert cfg.max_threshold == pytest.approx(300_000)
+class TestMakeAqm:
+    def test_red_thresholds_rule_of_thumb(self):
+        # 10 Mbps x 20 ms = 25 kB BDP, so 24 BDP is a 600 kB buffer.
+        link = LinkConfig.from_mbps_ms(10, 20, 24, aqm="red")
+        assert link.buffer_bytes == pytest.approx(600_000)
+        red = make_aqm(link)
+        assert isinstance(red, RED)
+        assert red.min_th == pytest.approx(100_000)
+        assert red.max_th == pytest.approx(300_000)
 
 
 class TestREDBehaviour:
     def make(self, **kwargs):
+        # Thresholds at 10 kB / 30 kB of a 40 kB buffer.
         defaults = dict(
-            min_threshold=10_000,
-            max_threshold=30_000,
+            min_frac=0.25,
+            max_frac=0.75,
             max_p=0.1,
             weight=0.5,  # Fast-moving average for unit tests.
             seed=1,
         )
         defaults.update(kwargs)
-        return RED(REDConfig(**defaults))
+        return RED(REDSpec(**defaults), buffer_bytes=40_000)
 
     def test_no_drops_below_min_threshold(self):
         red = self.make()
@@ -74,24 +68,22 @@ class TestREDEndToEnd:
         flows = [FlowSpec("cubic"), FlowSpec("cubic")]
         plain = run_dumbbell(link, flows, duration=30, warmup=5)
         red = run_dumbbell(
-            link,
+            LinkConfig.from_mbps_ms(10, 20, 8, aqm="red"),
             flows,
             duration=30,
             warmup=5,
-            red=REDConfig.for_buffer(link.buffer_bytes),
         )
         assert red.mean_queuing_delay < plain.mean_queuing_delay
         # Early drops happen while the physical buffer still has room.
         assert red.drop_rate > 0
 
     def test_red_sustains_utilization(self):
-        link = LinkConfig.from_mbps_ms(10, 20, 8)
+        link = LinkConfig.from_mbps_ms(10, 20, 8, aqm="red")
         result = run_dumbbell(
             link,
             [FlowSpec("cubic"), FlowSpec("cubic")],
             duration=30,
             warmup=5,
-            red=REDConfig.for_buffer(link.buffer_bytes),
         )
         total = result.aggregate_throughput() * 8 / 1e6
         assert total > 8.0
@@ -103,11 +95,10 @@ class TestREDEndToEnd:
         flows = [FlowSpec("cubic"), FlowSpec("bbr")]
         plain = run_dumbbell(link, flows, duration=60, warmup=10)
         red = run_dumbbell(
-            link,
+            LinkConfig.from_mbps_ms(10, 20, 8, aqm="red"),
             flows,
             duration=60,
             warmup=10,
-            red=REDConfig.for_buffer(link.buffer_bytes),
         )
         bbr_share_plain = plain.flows[1].throughput
         bbr_share_red = red.flows[1].throughput

@@ -358,6 +358,24 @@ def test_campaign_validate_bad_cca(tmp_path, capsys):
     assert "quic" in err
 
 
+def test_campaign_validate_codel_interval_below_target(tmp_path, capsys):
+    bad = tmp_path / "bad.toml"
+    bad.write_text(
+        SMOKE_SPEC.replace(
+            "buffer_bdp = 1.0\n",
+            "buffer_bdp = 1.0\n"
+            'aqm = { kind = "codel", target = 0.2, interval = 0.1 }\n',
+            1,
+        )
+    )
+    assert main(["campaign", "validate", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert "campaign error:" in captured.err
+    assert "interval must exceed target" in captured.err
+    assert len(captured.err.strip().splitlines()) == 1
+    assert "Traceback" not in captured.out + captured.err
+
+
 def test_campaign_validate_missing_file(tmp_path, capsys):
     assert main(["campaign", "validate", str(tmp_path / "nope.toml")]) == 2
     assert "no such spec file" in capsys.readouterr().err

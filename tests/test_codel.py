@@ -2,25 +2,19 @@
 
 import pytest
 
-from repro.sim.aqm import CoDel, CoDelConfig
-from repro.sim.network import DumbbellNetwork, FlowSpec, run_dumbbell
+from repro.sim.aqm import CoDel, make_aqm
+from repro.sim.network import FlowSpec, run_dumbbell
 from repro.util.config import LinkConfig
 
 
-class TestCoDelConfig:
-    def test_defaults(self):
-        cfg = CoDelConfig()
-        assert cfg.target == pytest.approx(0.005)
-        assert cfg.interval == pytest.approx(0.100)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            CoDelConfig(target=0.0)
-        with pytest.raises(ValueError):
-            CoDelConfig(target=0.1, interval=0.05)
-
-
 class TestCoDelStateMachine:
+    def test_rfc_8289_defaults(self):
+        codel = make_aqm(LinkConfig.from_mbps_ms(10, 20, 10, aqm="codel"))
+        assert isinstance(codel, CoDel)
+        assert codel.spec.target == pytest.approx(0.005)
+        assert codel.spec.interval == pytest.approx(0.100)
+        assert CoDel().spec == codel.spec
+
     def test_never_drops_below_target(self):
         codel = CoDel()
         now = 0.0
@@ -82,11 +76,10 @@ class TestCoDelEndToEnd:
             link, [FlowSpec("cubic")], duration=30, warmup=10
         )
         codel = run_dumbbell(
-            link,
+            LinkConfig.from_mbps_ms(10, 20, 10, aqm="codel"),
             [FlowSpec("cubic")],
             duration=30,
             warmup=10,
-            codel=CoDelConfig(),
         )
         # Drop-tail CUBIC bloats the 200 ms buffer; CoDel holds the
         # standing queue within a small multiple of its 5 ms target.
@@ -94,27 +87,14 @@ class TestCoDelEndToEnd:
         assert codel.mean_queuing_delay < 0.03
 
     def test_codel_preserves_reasonable_utilization(self):
-        link = LinkConfig.from_mbps_ms(10, 20, 10)
+        link = LinkConfig.from_mbps_ms(10, 20, 10, aqm="codel")
         result = run_dumbbell(
             link,
             [FlowSpec("cubic")],
             duration=30,
             warmup=10,
-            codel=CoDelConfig(),
         )
         assert result.flows[0].throughput_mbps > 7.0
-
-    def test_mutually_exclusive_aqms(self):
-        from repro.sim.aqm import REDConfig
-
-        link = LinkConfig.from_mbps_ms(10, 20, 5)
-        with pytest.raises(ValueError):
-            DumbbellNetwork(
-                link,
-                [FlowSpec("cubic")],
-                red=REDConfig.for_buffer(link.buffer_bytes),
-                codel=CoDelConfig(),
-            )
 
     def test_bbr_wins_harder_under_codel(self):
         """CoDel removes CUBIC's buffer-filling advantage: BBR's share
@@ -123,6 +103,9 @@ class TestCoDelEndToEnd:
         flows = [FlowSpec("cubic"), FlowSpec("bbr")]
         plain = run_dumbbell(link, flows, duration=60, warmup=10)
         codel = run_dumbbell(
-            link, flows, duration=60, warmup=10, codel=CoDelConfig()
+            LinkConfig.from_mbps_ms(10, 20, 10, aqm="codel"),
+            flows,
+            duration=60,
+            warmup=10,
         )
         assert codel.flows[1].throughput > plain.flows[1].throughput

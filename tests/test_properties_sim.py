@@ -4,10 +4,15 @@ Shorter horizons than the scenario tests — the point is invariants under
 *randomized* configurations, not steady-state accuracy.
 """
 
-from hypothesis import given, settings
+from dataclasses import replace
+
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.fluidsim import FluidSpec, run_fluid
+from repro.fluidsim.aqmfluid import make_fluid_aqm
+from repro.scenario import CoDelSpec, REDSpec
+from repro.sim.aqm import make_aqm
 from repro.sim.engine import EventLoop
 from repro.util.config import LinkConfig
 
@@ -30,6 +35,46 @@ def links(draw):
         draw(st.floats(min_value=5, max_value=100)),
         draw(st.floats(min_value=1.2, max_value=20)),
     )
+
+
+@st.composite
+def aqm_specs(draw):
+    """Any RED or CoDel spec the scenario schema accepts."""
+    unit = st.floats(min_value=0.0, max_value=1.0)
+    seconds = st.floats(min_value=0.0, max_value=1.0)
+    try:
+        if draw(st.booleans()):
+            return REDSpec(
+                min_frac=draw(unit),
+                max_frac=draw(unit),
+                max_p=draw(unit),
+                weight=draw(unit),
+                ecn=draw(st.booleans()),
+                seed=draw(st.integers(min_value=0, max_value=2**31)),
+            )
+        return CoDelSpec(
+            target=draw(seconds),
+            interval=draw(seconds),
+            ecn=draw(st.booleans()),
+        )
+    except ValueError:
+        assume(False)
+
+
+@given(links(), aqm_specs())
+@settings(max_examples=50, deadline=None)
+def test_every_accepted_aqm_spec_builds_on_both_substrates(link, aqm):
+    """The schema is the only AQM validation: whatever it accepts, the
+    packet and fluid substrates construct (and can decide) without
+    raising, so the two can never drift apart again."""
+    link = replace(link, aqm=aqm)
+    dt = link.rtt / 4.0
+    packet = make_aqm(link)
+    fluid = make_fluid_aqm(link, dt)
+    assert packet is not None and fluid is not None
+    packet.on_enqueue(link.buffer_bytes)
+    packet.on_dequeue(1.0, link.max_queuing_delay)
+    assert fluid.tick(1.0, link.buffer_bytes, link.capacity, dt) >= 0.0
 
 
 @given(links(), flow_mixes(), st.integers(min_value=0, max_value=100))

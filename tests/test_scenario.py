@@ -113,6 +113,8 @@ def test_aqm_from_dict_rejects_typos():
         {"max_p": 2.0},
         {"weight": 0.0},
         {"weight": float("nan")},
+        {"min_frac": 0.5, "max_frac": 0.5},
+        {"weight": 1.5},
     ],
 )
 def test_red_spec_validation(kwargs):
@@ -120,7 +122,15 @@ def test_red_spec_validation(kwargs):
         REDSpec(**kwargs)
 
 
-@pytest.mark.parametrize("kwargs", [{"target": 0.0}, {"interval": -1.0}])
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"target": 0.0},
+        {"interval": -1.0},
+        {"target": 0.2, "interval": 0.1},
+        {"target": 0.1, "interval": 0.1},
+    ],
+)
 def test_codel_spec_validation(kwargs):
     with pytest.raises(ValueError):
         CoDelSpec(**kwargs)
