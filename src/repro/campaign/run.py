@@ -103,6 +103,18 @@ def _span(tracer: Any, name: str, **args: Any):
     return tracer.span(name, cat="campaign", **args)
 
 
+def _under(
+    tracer: Any, parent_id: Optional[int], fn: Callable[[Unit], Any]
+) -> Callable[[Unit], Any]:
+    """``fn`` adopting ``parent_id`` as its spans' parent, on any thread."""
+
+    def adopted(unit: Unit) -> Any:
+        with tracer.adopt(parent_id):
+            return fn(unit)
+
+    return adopted
+
+
 SPEC_NAME = "spec.json"
 MANIFEST_NAME = "manifest.json"
 ERROR_MAP_NAME = "error_map.json"
@@ -427,6 +439,10 @@ def iter_units(
                     if interrupted:
                         break
             else:
+                if tracer is not None:
+                    # Fan-out threads start with empty span stacks: run
+                    # their unit spans as children of this stage.
+                    runner = _under(tracer, tracer.current_id(), runner)
                 with ThreadPoolExecutor(max_workers=threads) as pool:
                     futures = [
                         pool.submit(runner, unit)

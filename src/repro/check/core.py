@@ -11,9 +11,12 @@ Enabling:
 
 * pass ``check=Checker()`` to ``run_dumbbell`` / ``run_fluid`` /
   ``DumbbellNetwork`` / ``FluidSimulation``;
-* install a process default via :func:`set_default` / :func:`use`; or
-* set ``REPRO_CHECK=1`` in the environment (the CLI's ``--check`` flag
-  does exactly this, so engine worker processes inherit it).
+* install a process default via :func:`set_default` / :func:`use` (the
+  CLI's ``--check`` flag does this); or
+* set ``REPRO_CHECK=1`` in the environment (read, never written).
+
+Engine pool workers check exactly when the submitting process has a
+checker resolved: :mod:`repro.exec` hands that on with each task.
 
 The first failing invariant raises
 :class:`repro.check.errors.InvariantViolation` with the scenario

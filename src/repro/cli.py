@@ -108,10 +108,18 @@ def _scenario_kwargs(args: argparse.Namespace) -> dict:
     }
 
 
+class _BadInput(Exception):
+    """Bad user input caught at the CLI boundary: :func:`main` prints
+    the message as one line and exits 2."""
+
+
 def _link_from(args: argparse.Namespace) -> LinkConfig:
-    return LinkConfig.from_mbps_ms(
-        args.mbps, args.rtt_ms, args.buffer_bdp, **_scenario_kwargs(args)
-    )
+    try:
+        return LinkConfig.from_mbps_ms(
+            args.mbps, args.rtt_ms, args.buffer_bdp, **_scenario_kwargs(args)
+        )
+    except ValueError as exc:
+        raise _BadInput(f"bad scenario: {exc}") from None
 
 
 def _positive_float(value: str) -> float:
@@ -194,27 +202,15 @@ def _add_campaign_obs_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _activate_tracing(span_path):
-    """Install a process-wide span tracer when an export was requested.
-
-    ``REPRO_TRACE`` is exported too so ``--jobs`` worker processes
-    record spans locally and ship them back (mirrors ``--check``).
-    """
+    """Install a process-wide span tracer when an export was requested
+    (the engine hands tracing on to its ``--jobs`` workers)."""
     if not span_path:
         return None
     from repro.obs import trace
 
-    os.environ["REPRO_TRACE"] = "1"
     tracer = trace.Tracer()
     trace.set_default(tracer)
     return tracer
-
-
-def _activate_profile_points(args: argparse.Namespace) -> int:
-    """Export ``REPRO_PROFILE_POINTS`` for --profile-points workers."""
-    n = getattr(args, "profile_points", None) or 0
-    if n:
-        os.environ["REPRO_PROFILE_POINTS"] = str(n)
-    return n
 
 
 def _write_spans(path: str, tracer, engine) -> int:
@@ -237,16 +233,12 @@ def _add_check_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _activate_check(args: argparse.Namespace) -> None:
-    """Install the invariant sanitizer when ``--check`` was given.
-
-    The environment variable is set too so worker processes spawned by
-    the execution engine inherit checking.
-    """
+    """Install the invariant sanitizer when ``--check`` was given (the
+    engine hands checking on to its ``--jobs`` workers)."""
     if not getattr(args, "check", False):
         return
     from repro.check import Checker, set_default
 
-    os.environ["REPRO_CHECK"] = "1"
     set_default(Checker())
 
 
@@ -342,6 +334,11 @@ def _print_profile(obs) -> None:
 
 
 def _cmd_predict(args: argparse.Namespace) -> int:
+    if args.cubic < 0 or args.bbr < 1:
+        raise _BadInput(
+            f"bad flow counts: need --cubic >= 0 and --bbr >= 1, got "
+            f"--cubic {args.cubic} --bbr {args.bbr}"
+        )
     link = _link_from(args)
     print(f"link: {link.describe()}")
     if args.cubic == 1 and args.bbr == 1:
@@ -372,6 +369,8 @@ def _cmd_predict(args: argparse.Namespace) -> int:
 
 
 def _cmd_nash(args: argparse.Namespace) -> int:
+    if args.flows < 1:
+        raise _BadInput(f"--flows must be >= 1, got {args.flows}")
     link = _link_from(args)
     pred = predict_nash(link, args.flows)
     print(f"link: {link.describe()}, {args.flows} flows")
@@ -384,22 +383,29 @@ def _cmd_nash(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    try:
-        link = _link_from(args)
-    except ValueError as exc:
-        print(f"bad scenario: {exc}", file=sys.stderr)
-        return 2
+    link = _link_from(args)
+    if args.backend == "packet":
+        known = available_algorithms()
+    else:
+        from repro.fluidsim import available_fluid_algorithms
+
+        known = available_fluid_algorithms()
     mix = []
     for item in args.mix:
         try:
             cc, count = item.split(":")
             mix.append((cc, int(count)))
         except ValueError:
-            print(f"bad mix entry {item!r}; use name:count", file=sys.stderr)
-            return 2
+            raise _BadInput(
+                f"bad mix entry {item!r}; use name:count"
+            ) from None
+        if cc not in known:
+            raise _BadInput(
+                f"unknown congestion control {cc!r} for backend "
+                f"{args.backend}; available: {', '.join(known)}"
+            )
     obs = _obs_from(args)
     tracer = _activate_tracing(args.spans_out)
-    _activate_profile_points(args)
     tracker = None
     progress_cb = None
     if args.progress:
@@ -557,7 +563,6 @@ def _cmd_figure(args: argparse.Namespace) -> int:
         return 2
     obs = _obs_from(args)
     tracer = _activate_tracing(args.spans_out)
-    _activate_profile_points(args)
     tracker = None
     if args.progress:
         from repro.obs import ProgressTracker
@@ -791,7 +796,6 @@ def _cmd_population_run(args: argparse.Namespace) -> int:
     )
 
     tracer = _activate_tracing(args.spans_out)
-    _activate_profile_points(args)
     cells = _population_cells(args)
     engine = _engine_from(args)
     force_tier = None if args.tier == "auto" else int(args.tier)
@@ -1026,7 +1030,6 @@ def _run_campaign_cmd(args: argparse.Namespace, resume: bool) -> int:
             print(f"bad scenario: {exc}", file=sys.stderr)
             return 2
     tracer = _activate_tracing(args.trace_out)
-    _activate_profile_points(args)
     engine = _engine_from(args)
     print(
         f"campaign '{spec.name}'"
@@ -1669,6 +1672,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     _activate_check(args)
     try:
         return args.func(args)
+    except _BadInput as exc:
+        print(exc, file=sys.stderr)
+        return 2
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 1

@@ -17,13 +17,16 @@ pending points still fan out when ``jobs > 1``.  Accounting and
 submission are lock-guarded, so multiple threads (the campaign layer's
 concurrent adaptive units) may drive one engine and share its workers.
 
+Each task carries a :class:`WorkerState`: what the submitting process
+has resolved (tracer, checker, profiling, fluid substrate), which the
+worker installs at entry — the only way process state reaches workers.
+
 Observability: ``exec.*`` telemetry counters as before, plus wall-clock
 spans (:mod:`repro.obs.trace`) around cache lookups, point execution,
-and cache stores.  Workers inherit tracing through ``REPRO_TRACE``
-(and per-point profiling through ``REPRO_PROFILE_POINTS``), record into
-a process-local tracer, and ship finished spans — plus a pid/RSS
-heartbeat — back with each result; the parent merges the spans so the
-exported trace shows one lane per worker pid.  ``done``/``hits``
+and cache stores.  Traced workers record into a process-local tracer
+and ship finished spans — plus a pid/RSS heartbeat — back with each
+result; the parent merges the spans so the exported trace shows one
+lane per worker pid.  ``done``/``hits``
 advance exactly once per submitted point, *when the point resolves*
 (cache hits during the scan, executed points as results land, inline
 ``BrokenProcessPool`` retries when the retry finishes).
@@ -56,6 +59,7 @@ from typing import (
     Dict,
     Iterator,
     List,
+    NamedTuple,
     Optional,
     Sequence,
     Tuple,
@@ -74,6 +78,7 @@ __all__ = [
     "Engine",
     "HeartbeatFn",
     "ProgressFn",
+    "WorkerState",
     "get_default",
     "set_default",
     "use",
@@ -86,9 +91,6 @@ ProgressFn = Callable[[int, int, int], None]
 
 #: Worker-health callback: ``(pid, rss_kb)`` after each resolved point.
 HeartbeatFn = Callable[[int, int], None]
-
-#: Env var: profile each executed point and keep the N slowest.
-PROFILE_ENV = "REPRO_PROFILE_POINTS"
 
 #: Hotspot rows kept per profiled point / reported per engine.
 PROFILE_ROWS = 15
@@ -123,16 +125,11 @@ def _span(tracer: Any, name: str, **args: Any):
     return tracer.span(name, cat="exec", **args)
 
 
-def profile_points_from_env(
-    environ: Optional[Dict[str, str]] = None,
-) -> int:
-    """How many slowest points ``REPRO_PROFILE_POINTS`` asks to keep."""
-    env = os.environ if environ is None else environ
-    value = (env.get(PROFILE_ENV) or "").strip()
-    try:
-        return max(0, int(value)) if value else 0
-    except ValueError:
-        return 0
+def _adopt(tracer: Any, parent_span: Optional[int]):
+    """Parent a worker's spans to the submitting span (no-op untraced)."""
+    if tracer is None:
+        return nullcontext()
+    return tracer.adopt(parent_span)
 
 
 def _profile_rows(prof: Any, limit: int = PROFILE_ROWS) -> List[Dict]:
@@ -169,40 +166,60 @@ def _run_profiled(
     return result, _profile_rows(prof)
 
 
+class WorkerState(NamedTuple):
+    """The submitting process's state, installed by a worker per task;
+    ``parent_span`` is the span the task's spans are children of."""
+
+    trace: bool
+    parent_span: Optional[int]
+    check: bool
+    profile: bool
+    substrate: str
+
+
+def _enter_worker(state: WorkerState) -> Any:
+    """Install ``state`` in this worker process; returns its tracer.
+
+    Telemetry runs dark (a worker's bus would be discarded); spans are
+    shipped back with the result, so a traced task gets a fresh tracer.
+    """
+    from repro import check
+    from repro.experiments.runner import set_fluid_substrate
+    from repro.obs import bus, trace
+
+    bus.set_default(None)
+    check.set_default(check.Checker() if state.check else None)
+    set_fluid_substrate(state.substrate)
+    tracer = trace.Tracer() if state.trace else None
+    trace.set_default(tracer)
+    return tracer
+
+
 def _execute_point(
-    point: ScenarioPoint,
+    point: ScenarioPoint, state: WorkerState
 ) -> Tuple["ScenarioResult", float, Dict]:
-    """Worker entry: run one scenario point, telemetry disabled.
+    """Worker entry: run one scenario point under ``state``.
 
     Returns ``(result, wall_seconds, extras)``; the wall time is
     measured inside the worker so queueing delay is not attributed to
     the simulation.  ``extras`` carries the worker's pid, max RSS, its
-    drained trace spans (when ``REPRO_TRACE`` is inherited), and the
-    point's profile hotspots (when ``REPRO_PROFILE_POINTS`` is set).
+    drained trace spans (when tracing), and the point's profile
+    hotspots (when profiling).
     """
-    from repro.obs import bus, trace
     from repro.obs.progress import rss_self_kb
 
-    # Fork-start workers inherit the parent's default telemetry bus;
-    # recording into that copy would be silently discarded, so run dark.
-    # Tracing is different: spans recorded here are shipped back with
-    # the result, so a fresh local tracer is installed when the parent
-    # exported REPRO_TRACE.
-    bus.set_default(None)
-    tracer = trace.Tracer() if trace.enabled_from_env() else None
-    trace.set_default(tracer)
-
-    profile = profile_points_from_env() > 0
+    tracer = _enter_worker(state)
     rows: List[Dict] = []
     start = perf_counter()
-    with _span(tracer, "point", fingerprint=point.fingerprint()[:12]):
-        with _span(tracer, "simulate", backend=point.backend):
-            if profile:
-                result, rows = _run_profiled(
-                    lambda: _run_point(point, obs=None)
-                )
-            else:
-                result = _run_point(point, obs=None)
+    with _adopt(tracer, state.parent_span):
+        with _span(tracer, "point", fingerprint=point.fingerprint()[:12]):
+            with _span(tracer, "simulate", backend=point.backend):
+                if state.profile:
+                    result, rows = _run_profiled(
+                        lambda: _run_point(point, obs=None)
+                    )
+                else:
+                    result = _run_point(point, obs=None)
     elapsed = perf_counter() - start
     extras = {
         "pid": os.getpid(),
@@ -282,7 +299,7 @@ def _run_chunk(
 
 
 def _execute_chunk(
-    points: Sequence[ScenarioPoint],
+    points: Sequence[ScenarioPoint], state: WorkerState
 ) -> List[Tuple["ScenarioResult", float, Dict]]:
     """Worker entry: run a chunk of cheap points in one process.
 
@@ -292,14 +309,11 @@ def _execute_chunk(
     worker's pid/RSS heartbeat.  Chunks are never profiled — the
     engine falls back to per-point dispatch when profiling is on.
     """
-    from repro.obs import bus, trace
     from repro.obs.progress import rss_self_kb
 
-    bus.set_default(None)
-    tracer = trace.Tracer() if trace.enabled_from_env() else None
-    trace.set_default(tracer)
-
-    outcomes = _run_chunk(points, obs=None, tracer=tracer)
+    tracer = _enter_worker(state)
+    with _adopt(tracer, state.parent_span):
+        outcomes = _run_chunk(points, obs=None, tracer=tracer)
     rss_kb = rss_self_kb()
     executed = []
     for i, (result, elapsed) in enumerate(outcomes):
@@ -329,14 +343,12 @@ class Engine:
         progress: Optional callback invoked after every resolved point
             with ``(done, submitted, cache_hits)`` cumulative counts.
         tracer: A :class:`repro.obs.trace.Tracer` for wall-clock spans;
-            None resolves the process default (which honors
-            ``REPRO_TRACE``) at each call.
+            None resolves the process default at each call.
         heartbeat: Optional callback ``(pid, rss_kb)`` after every
             executed point — the worker-health feed for
             :class:`repro.obs.progress.ProgressTracker`.
         profile_slowest: Keep cProfile hotspots for this many slowest
-            executed points (0 disables).  The CLI also exports
-            ``REPRO_PROFILE_POINTS`` so pool workers profile too.
+            executed points (0 disables); pool workers profile too.
         chunking: Group cheap points (estimated cost below
             :data:`CHUNK_COST_THRESHOLD`) into per-worker chunks, and
             pool each chunk's ``fluid-vec`` points into one vectorized
@@ -650,10 +662,19 @@ class Engine:
     def _chunking_active(self) -> bool:
         """Chunk cheap points?  Suspended while profiling: profiles
         are attributed per point, and chunks are never profiled."""
-        return (
-            self.chunking
-            and self.profile_slowest == 0
-            and profile_points_from_env() == 0
+        return self.chunking and self.profile_slowest == 0
+
+    def _worker_state(self, tracer: Any) -> WorkerState:
+        """What this process has resolved now, for tasks it submits."""
+        from repro.check import resolve as resolve_check
+        from repro.experiments.runner import fluid_substrate
+
+        return WorkerState(
+            trace=tracer is not None,
+            parent_span=tracer.current_id() if tracer is not None else None,
+            check=resolve_check(None) is not None,
+            profile=self.profile_slowest > 0,
+            substrate=fluid_substrate("fluid"),
         )
 
     def _iter_inline(
@@ -753,18 +774,20 @@ class Engine:
         second failure (now in-process) propagates.
         """
         remaining = dict(pending_points)
+        state = self._worker_state(tracer)
         try:
             pool = self._pool()
             futures = {}
             for unit in self._dispatch_units(pending_points):
                 if len(unit) == 1:
                     future = pool.submit(
-                        _execute_point, pending_points[unit[0]]
+                        _execute_point, pending_points[unit[0]], state
                     )
                 else:
                     future = pool.submit(
                         _execute_chunk,
                         [pending_points[fp] for fp in unit],
+                        state,
                     )
                 futures[future] = unit
             outstanding = set(futures)

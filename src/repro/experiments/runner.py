@@ -54,6 +54,7 @@ __all__ = [
     "group_payoff_fn",
     "run_mix",
     "run_mix_batch",
+    "set_fluid_substrate",
     "spaced_seed",
     "use_fluid_substrate",
 ]
@@ -62,23 +63,26 @@ __all__ = [
 #: substrate ("fluid-vec").  The vectorized substrate reproduces the
 #: scalar trajectories bit for bit, so the redirect changes wall time
 #: only — results (and therefore cache fingerprints, which key the
-#: *declared* backend) are unchanged.  Environment-based so worker
-#: processes inherit it.
+#: *declared* backend) are unchanged.  Read, never written.
 FLUID_SUBSTRATE_ENV = "REPRO_FLUID_SUBSTRATE"
 
 _FLUID_SUBSTRATES = ("fluid", "fluid-vec")
+
+#: The in-process redirect; None defers to :data:`FLUID_SUBSTRATE_ENV`.
+_substrate: Optional[str] = None
 
 
 def fluid_substrate(backend: str) -> str:
     """The substrate that actually serves ``backend``.
 
-    ``"fluid"`` may be redirected to ``"fluid-vec"`` through
-    :data:`FLUID_SUBSTRATE_ENV` (the CLI's ``--backend fluid-vec`` on
-    figures and campaigns); every other backend maps to itself.
+    ``"fluid"`` may be redirected to ``"fluid-vec"`` in-process (the
+    CLI's ``--backend fluid-vec`` on figures and campaigns) or through
+    :data:`FLUID_SUBSTRATE_ENV`; every other backend maps to itself.
     """
     if backend != "fluid":
         return backend
-    override = os.environ.get(FLUID_SUBSTRATE_ENV, "").strip().lower()
+    override = _substrate or os.environ.get(FLUID_SUBSTRATE_ENV, "")
+    override = override.strip().lower()
     if not override:
         return backend
     if override not in _FLUID_SUBSTRATES:
@@ -89,31 +93,33 @@ def fluid_substrate(backend: str) -> str:
     return override
 
 
-@contextmanager
-def use_fluid_substrate(backend: Optional[str]) -> Iterator[None]:
-    """Temporarily serve ``backend="fluid"`` requests via ``backend``.
-
-    ``None`` or ``"fluid"`` is a no-op.  Sets (and restores)
-    :data:`FLUID_SUBSTRATE_ENV` so engine pool workers spawned inside
-    the block inherit the redirect.
-    """
-    if backend in (None, "fluid"):
-        yield
-        return
-    if backend not in _FLUID_SUBSTRATES:
+def set_fluid_substrate(backend: Optional[str]) -> None:
+    """Serve ``backend="fluid"`` via ``backend`` (None: the env var)."""
+    global _substrate
+    if backend is not None and backend not in _FLUID_SUBSTRATES:
         raise ValueError(
             f"fluid substrate must be one of {_FLUID_SUBSTRATES}, "
             f"got {backend!r}"
         )
-    previous = os.environ.get(FLUID_SUBSTRATE_ENV)
-    os.environ[FLUID_SUBSTRATE_ENV] = backend
+    _substrate = backend
+
+
+@contextmanager
+def use_fluid_substrate(backend: Optional[str]) -> Iterator[None]:
+    """Temporarily serve ``backend="fluid"`` requests via ``backend``.
+
+    ``None`` or ``"fluid"`` is a no-op.  Engine pool workers follow
+    the redirect: the engine hands it over with each task.
+    """
+    if backend in (None, "fluid"):
+        yield
+        return
+    previous = _substrate
+    set_fluid_substrate(backend)
     try:
         yield
     finally:
-        if previous is None:
-            os.environ.pop(FLUID_SUBSTRATE_ENV, None)
-        else:
-            os.environ[FLUID_SUBSTRATE_ENV] = previous
+        set_fluid_substrate(previous)
 
 
 def spaced_seed(seed: int, k: int) -> int:

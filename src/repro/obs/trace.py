@@ -7,25 +7,31 @@ the same absence-means-disabled discipline as :mod:`repro.obs.bus` and
 and guards with a single ``if tracer is not None`` attribute test, so a
 run with tracing disabled (the default) pays nothing.
 
-Enabling mirrors :mod:`repro.check`:
+Enabling mirrors :mod:`repro.obs.bus`: pass a :class:`Tracer`
+explicitly or install one as the process default (:func:`set_default` /
+:func:`use`).  ``--jobs`` pool workers learn from :mod:`repro.exec`
+whether the submitting process traces; they record into a fresh local
+tracer and ship their finished spans back with each result, and the
+engine merges them parent-side, where each worker's ``pid`` becomes its
+own lane.
 
-* pass or install a :class:`Tracer` (:func:`set_default` / :func:`use`);
-* set ``REPRO_TRACE=1`` in the environment — which is exactly what the
-  CLI's ``--trace-out``/``--progress`` flags do, so ``--jobs`` worker
-  processes inherit tracing.  Workers record into a fresh local tracer
-  and ship their finished spans back with each result; the engine merges
-  them parent-side, where each worker's ``pid`` becomes its own lane.
+Every span carries a ``span_id`` (unique across the processes of a
+trace) and the ``parent_id`` of the span that caused it: the span open
+below it on the same thread, or — for a thread or worker process that
+starts work on another's behalf — the span :meth:`Tracer.adopt` names.
 
-Export is Chrome trace-event JSON (the ``traceEvents`` object form),
-loadable in Perfetto or ``chrome://tracing``; ``.json.gz`` paths are
-gzip-compressed transparently.  :func:`aggregate_spans` reduces a span
-list to per-name total/self wall time — the ``repro-bbr trace report``
-table — where *self* time excludes time spent in enclosed child spans
-on the same (pid, tid) lane.
+Export is Chrome trace-event JSON (the ``traceEvents`` object form, ids
+in ``args``), loadable in Perfetto or ``chrome://tracing``;
+``.json.gz`` paths are gzip-compressed transparently.
+:func:`aggregate_spans` reduces a span list to per-name total/self wall
+time — the ``repro-bbr trace report`` table — where *self* time
+excludes the time covered by the span's children, wherever (thread,
+process) they ran.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import threading
@@ -41,8 +47,6 @@ __all__ = [
     "SpanAggregate",
     "Tracer",
     "aggregate_spans",
-    "clear_default",
-    "enabled_from_env",
     "get_default",
     "read_chrome_trace",
     "render_span_report",
@@ -52,8 +56,17 @@ __all__ = [
     "write_chrome_trace",
 ]
 
-#: Fields every serialized span carries (the worker hand-off format).
-_SPAN_KEYS = ("name", "cat", "start_s", "dur_s", "pid", "tid", "args")
+#: Chrome ``args`` keys that carry a span's id and its parent's id.
+_ID_ARGS = ("span_id", "parent_id")
+
+#: Span id sequence, shared by every tracer of the process (a worker
+#: builds a fresh tracer per task) and prefixed with the pid, so ids
+#: stay unique across the processes of one trace.
+_ids = itertools.count(1)
+
+
+def _next_id() -> int:
+    return (os.getpid() << 31) | next(_ids)
 
 
 @dataclass
@@ -63,6 +76,8 @@ class Span:
     ``start_s`` is epoch seconds (:func:`time.time`), so spans recorded
     in different processes on the same host share a timebase; ``dur_s``
     is measured with :func:`time.perf_counter` for resolution.
+    ``parent_id`` is the ``span_id`` of the span this one ran under
+    (None for a root).
     """
 
     name: str
@@ -72,6 +87,8 @@ class Span:
     pid: int
     tid: int
     args: Dict[str, Any] = field(default_factory=dict)
+    span_id: Optional[int] = None
+    parent_id: Optional[int] = None
 
     @property
     def end_s(self) -> float:
@@ -86,6 +103,8 @@ class Span:
             "pid": self.pid,
             "tid": self.tid,
             "args": self.args,
+            "span_id": self.span_id,
+            "parent_id": self.parent_id,
         }
 
     @classmethod
@@ -98,6 +117,8 @@ class Span:
             pid=int(data["pid"]),
             tid=int(data.get("tid", 0)),
             args=dict(data.get("args", {})),
+            span_id=data.get("span_id"),
+            parent_id=data.get("parent_id"),
         )
 
     def to_chrome_event(self) -> Dict[str, Any]:
@@ -111,20 +132,35 @@ class Span:
             "pid": self.pid,
             "tid": self.tid,
         }
-        if self.args:
-            event["args"] = self.args
+        args = dict(self.args)
+        for key in _ID_ARGS:
+            if getattr(self, key) is not None:
+                args[key] = getattr(self, key)
+        if args:
+            event["args"] = args
         return event
 
 
 class _OpenSpan:
     """Book-keeping for a span that has begun but not yet ended."""
 
-    __slots__ = ("name", "cat", "args", "start_s", "start_perf")
+    __slots__ = (
+        "name", "cat", "args", "span_id", "parent_id", "start_s",
+        "start_perf",
+    )
 
-    def __init__(self, name: str, cat: str, args: Dict[str, Any]) -> None:
+    def __init__(
+        self,
+        name: str,
+        cat: str,
+        args: Dict[str, Any],
+        parent_id: Optional[int],
+    ) -> None:
         self.name = name
         self.cat = cat
         self.args = args
+        self.span_id = _next_id()
+        self.parent_id = parent_id
         self.start_s = time.time()
         self.start_perf = time.perf_counter()
 
@@ -156,10 +192,33 @@ class Tracer:
             stack = self._local.stack = []
         return stack
 
+    def current_id(self) -> Optional[int]:
+        """The id of the span new spans on this thread would nest in:
+        the innermost open one, else the one :meth:`adopt` names."""
+        stack = self._stack()
+        if stack:
+            return stack[-1].span_id
+        return getattr(self._local, "adopted", None)
+
+    @contextmanager
+    def adopt(self, parent_id: Optional[int]) -> Iterator[None]:
+        """Parent this thread's outermost spans to ``parent_id``.
+
+        For work done on behalf of a span open elsewhere: a fan-out
+        thread passes the submitting thread's :meth:`current_id`, a
+        pool worker the id it was handed with its task.
+        """
+        previous = getattr(self._local, "adopted", None)
+        self._local.adopted = parent_id
+        try:
+            yield
+        finally:
+            self._local.adopted = previous
+
     @contextmanager
     def span(self, name: str, cat: str = "", **args: Any) -> Iterator[None]:
         """Record the body as one span; nests via a per-thread stack."""
-        open_span = _OpenSpan(name, cat, args)
+        open_span = _OpenSpan(name, cat, args, self.current_id())
         stack = self._stack()
         stack.append(open_span)
         try:
@@ -179,6 +238,8 @@ class Tracer:
                 pid=os.getpid(),
                 tid=threading.get_ident() & 0xFFFF,
                 args=open_span.args,
+                span_id=open_span.span_id,
+                parent_id=open_span.parent_id,
             )
         )
 
@@ -251,41 +312,40 @@ class SpanAggregate:
 def aggregate_spans(spans: Sequence[Span]) -> List[SpanAggregate]:
     """Reduce spans to per-name count/total/self/max wall time.
 
-    *Self* time is a span's duration minus the durations of its direct
-    children — spans on the same ``(pid, tid)`` lane strictly enclosed
-    by it.  Aggregates are returned sorted by descending self time.
+    *Self* time is a span's duration minus the part of it covered by
+    its children — the spans whose ``parent_id`` is its ``span_id``,
+    on any thread or process.  Overlapping children (concurrent units,
+    parallel worker points) are merged first, so self time lies in
+    ``[0, duration]``.  Aggregates are returned sorted by descending
+    self time.
     """
-    by_name: Dict[str, SpanAggregate] = {}
-    lanes: Dict[tuple, List[Span]] = {}
+    children: Dict[int, List[Span]] = {}
     for span in spans:
-        lanes.setdefault((span.pid, span.tid), []).append(span)
-
-    for lane in lanes.values():
-        # Parents sort before their children: earlier start first, and
-        # at equal starts the longer (enclosing) span first.
-        lane.sort(key=lambda s: (s.start_s, -s.dur_s))
-        stack: List[List[Any]] = []  # [span, child_total]
-        for span in lane:
-            while stack and span.start_s >= stack[-1][0].end_s - 1e-9:
-                parent, child_total = stack.pop()
-                _close(by_name, parent, child_total)
-            if stack:
-                stack[-1][1] += span.dur_s
-            stack.append([span, 0.0])
-        while stack:
-            parent, child_total = stack.pop()
-            _close(by_name, parent, child_total)
-
+        if span.parent_id is not None:
+            children.setdefault(span.parent_id, []).append(span)
+    by_name: Dict[str, SpanAggregate] = {}
+    for span in spans:
+        covered = 0.0
+        if span.span_id in children:
+            covered = _covered(span, children[span.span_id])
+        agg = by_name.get(span.name)
+        if agg is None:
+            agg = by_name[span.name] = SpanAggregate(name=span.name)
+        agg.update(span.dur_s, max(0.0, span.dur_s - covered))
     return sorted(by_name.values(), key=lambda a: -a.self_s)
 
 
-def _close(
-    by_name: Dict[str, SpanAggregate], span: Span, child_total: float
-) -> None:
-    agg = by_name.get(span.name)
-    if agg is None:
-        agg = by_name[span.name] = SpanAggregate(name=span.name)
-    agg.update(span.dur_s, max(0.0, span.dur_s - child_total))
+def _covered(parent: Span, children: Sequence[Span]) -> float:
+    """Length of ``parent``'s interval that its children cover."""
+    covered = 0.0
+    end = parent.start_s
+    for child in sorted(children, key=lambda c: c.start_s):
+        lo = max(child.start_s, end)
+        hi = min(child.end_s, parent.end_s)
+        if hi > lo:
+            covered += hi - lo
+            end = hi
+    return covered
 
 
 def render_span_report(
@@ -380,6 +440,8 @@ def read_chrome_trace(path: str) -> "ChromeTrace":
             raise ValueError(f"{path}: traceEvents[{i}] is not an object")
         if event.get("ph") != "X":
             continue
+        args = dict(event.get("args", {}))
+        span_id, parent_id = (args.pop(key, None) for key in _ID_ARGS)
         spans.append(
             Span(
                 name=str(event["name"]),
@@ -388,7 +450,9 @@ def read_chrome_trace(path: str) -> "ChromeTrace":
                 dur_s=float(event["dur"]) / 1e6,
                 pid=int(event["pid"]),
                 tid=int(event.get("tid", 0)),
-                args=dict(event.get("args", {})),
+                args=args,
+                span_id=span_id,
+                parent_id=parent_id,
             )
         )
     hotspots = data.get("reproHotspots") or []
@@ -409,36 +473,14 @@ class ChromeTrace:
         return sorted({span.pid for span in self.spans})
 
 
-# -- process-wide default (mirrors repro.check) ------------------------------
+# -- process-wide default (mirrors repro.obs.bus) ----------------------------
 
-_UNSET = object()
-_default: Any = _UNSET
-_env_tracer: Optional[Tracer] = None
-
-
-def enabled_from_env(environ: Optional[Dict[str, str]] = None) -> bool:
-    """Whether ``REPRO_TRACE`` asks for a process-wide tracer."""
-    env = os.environ if environ is None else environ
-    value = env.get("REPRO_TRACE", "")
-    return value.strip().lower() not in ("", "0", "false", "no", "off")
+_default: Optional[Tracer] = None
 
 
 def get_default() -> Optional[Tracer]:
-    """The process-wide tracer, or None.
-
-    An explicit :func:`set_default` always wins (including an explicit
-    ``None``, which disables tracing even under ``REPRO_TRACE=1``);
-    otherwise the environment decides, with one shared lazily-created
-    tracer per process.
-    """
-    global _env_tracer
-    if _default is not _UNSET:
-        return _default
-    if not enabled_from_env():
-        return None
-    if _env_tracer is None:
-        _env_tracer = Tracer()
-    return _env_tracer
+    """The process-wide tracer, or None (tracing disabled)."""
+    return _default
 
 
 def set_default(tracer: Optional[Tracer]) -> None:
@@ -447,25 +489,17 @@ def set_default(tracer: Optional[Tracer]) -> None:
     _default = tracer
 
 
-def clear_default() -> None:
-    """Forget any explicit default; ``REPRO_TRACE`` decides again."""
-    global _default, _env_tracer
-    _default = _UNSET
-    _env_tracer = None
-
-
 def resolve(tracer: Optional[Tracer]) -> Optional[Tracer]:
     """An explicit tracer wins; otherwise the process default."""
-    return tracer if tracer is not None else get_default()
+    return tracer if tracer is not None else _default
 
 
 @contextmanager
 def use(tracer: Optional[Tracer]) -> Iterator[Optional[Tracer]]:
     """Temporarily install ``tracer`` as the process-wide default."""
-    global _default
-    previous = _default
-    _default = tracer
+    previous = get_default()
+    set_default(tracer)
     try:
         yield tracer
     finally:
-        _default = previous
+        set_default(previous)

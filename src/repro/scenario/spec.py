@@ -562,14 +562,12 @@ class BottleneckSpec:
     capacity_trace: CapacityTrace = field(default=CONSTANT)
 
     def __post_init__(self) -> None:
-        if self.capacity <= 0:
-            raise ValueError(f"capacity must be positive, got {self.capacity}")
-        if self.rtt <= 0:
-            raise ValueError(f"rtt must be positive, got {self.rtt}")
-        if self.buffer_bdp <= 0:
-            raise ValueError(
-                f"buffer_bdp must be positive, got {self.buffer_bdp}"
-            )
+        for name in ("capacity", "rtt", "buffer_bdp"):
+            value = getattr(self, name)
+            if not (isfinite(value) and value > 0):
+                raise ValueError(
+                    f"{name} must be positive and finite, got {value}"
+                )
         if self.mss <= 0:
             raise ValueError(f"mss must be positive, got {self.mss}")
         if not isinstance(self.aqm, (DropTailSpec, REDSpec, CoDelSpec)):

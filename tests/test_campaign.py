@@ -499,6 +499,35 @@ def test_adaptive_campaign_shares_cache_with_figure_path(tmp_path):
     assert cold.hits == warm.simulated
 
 
+def test_concurrent_units_are_traced_as_children_of_their_stage():
+    """At jobs=2 adaptive units run on fan-out threads and their points
+    in pool workers; every span names its cause, so neither the stage
+    nor a unit is charged for the time it waits on them."""
+    import os
+
+    from repro.obs.trace import Tracer, aggregate_spans, use
+
+    spec = _spec(
+        defaults={"duration": 5.0, "backend": "fluid"},
+        axes=[{"name": "buffer_bdp", "values": [2]}],
+        stages=[{"type": "adaptive", "flows": 4, "searches": 2}],
+    )
+    tracer = Tracer()
+    with use(tracer), Engine(jobs=2) as engine:
+        list(iter_units(spec, expand_units(spec), engine=engine))
+    spans = tracer.spans
+    (stage,) = [s for s in spans if s.name == "stage"]
+    units = [s for s in spans if s.name == "unit"]
+    assert len(units) == 2
+    assert {u.parent_id for u in units} == {stage.span_id}
+    points = [s for s in spans if s.name == "point"]
+    assert points and all(p.pid != os.getpid() for p in points)
+    assert {p.parent_id for p in points} <= {u.span_id for u in units}
+    aggs = {agg.name: agg for agg in aggregate_spans(spans)}
+    assert aggs["stage"].self_s < 0.5 * aggs["stage"].total_s
+    assert aggs["unit"].self_s < aggs["unit"].total_s
+
+
 def test_fig9_campaign_matches_bundled_spec():
     from repro.campaign import bundled_campaign_dir
 

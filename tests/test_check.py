@@ -470,6 +470,31 @@ def test_leaky_link_trips_conservation(monkeypatch):
     assert exc.time is not None and exc.time >= 0
 
 
+def test_pool_workers_run_under_parent_checker(monkeypatch):
+    """A checker installed in code reaches ``jobs=2`` pool workers —
+    also ones started before it was installed: the seeded leak trips
+    inside a worker and the violation surfaces in the parent, with no
+    environment variable involved."""
+    import multiprocessing
+
+    from repro.exec import Engine, ScenarioPoint
+
+    if multiprocessing.get_start_method() != "fork":
+        pytest.skip("the monkeypatched link needs the fork start method")
+    monkeypatch.setattr("repro.sim.network.Link", LeakyLink)
+    point = ScenarioPoint(
+        link=small_link(bdp=0.5),
+        mix=(("cubic", 2),),
+        duration=10.0,
+        backend="packet",
+    )
+    with Engine(jobs=2) as engine:
+        assert engine.run_points([point])  # Unchecked: the leak is silent.
+        with use(Checker()), pytest.raises(InvariantViolation) as excinfo:
+            engine.run_points([point])
+    assert excinfo.value.check == "link.conservation"
+
+
 class BrokenBBR(BBRv1):
     """A BBR adapter seeded with an illegal phase transition."""
 

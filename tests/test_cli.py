@@ -568,23 +568,15 @@ def test_cc_list_substrate_sets_match(capsys):
 
 @pytest.fixture
 def _clean_check_default():
-    import os
-
+    """Undo the process-wide checker --check installs."""
     from repro.check import clear_default
 
     clear_default()
-    saved = os.environ.pop("REPRO_CHECK", None)
     yield
     clear_default()
-    if saved is not None:
-        os.environ["REPRO_CHECK"] = saved
-    else:
-        os.environ.pop("REPRO_CHECK", None)
 
 
 def test_simulate_with_check_flag(_clean_check_default, capsys):
-    import os
-
     from repro.check import get_default
 
     code = main(
@@ -602,11 +594,10 @@ def test_simulate_with_check_flag(_clean_check_default, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "cubic" in out and "bbr" in out
-    # --check installs a process default and exports REPRO_CHECK so
-    # engine worker processes inherit it.
+    # --check installs a process default (the engine hands it on to
+    # its pool workers).
     assert get_default() is not None
     assert get_default().checks_run > 0
-    assert os.environ.get("REPRO_CHECK") == "1"
 
 
 def test_simulate_packet_with_check_flag(_clean_check_default, capsys):
@@ -661,6 +652,64 @@ def test_simulate_invalid_warmup_exits_2(warmup, capsys):
     assert "warmup must lie in" in err
 
 
+def test_cli_flags_leave_environment_unchanged(
+    _clean_check_default, monkeypatch, capsys
+):
+    """--check and --backend fluid-vec install in-process state only;
+    the engine hands it to pool workers, so nothing is exported."""
+    import os
+
+    import repro.cli as cli
+    from repro.experiments.results import FigureResult
+    from repro.experiments.runner import fluid_substrate
+
+    before = dict(os.environ)
+    substrate = fluid_substrate("fluid")
+    argv = ["simulate", "cubic:1", "--duration", "5", "--check"]
+    assert main(argv) == 0
+    assert dict(os.environ) == before
+
+    seen = {}
+
+    def probe(scale="quick"):
+        seen["env"] = dict(os.environ)
+        seen["substrate"] = fluid_substrate("fluid")
+        return FigureResult("figprobe", "probe", "x", "y")
+
+    monkeypatch.setitem(cli.FIGURES, "figprobe", probe)
+    assert main(["figure", "figprobe", "--backend", "fluid-vec"]) == 0
+    assert seen == {"env": before, "substrate": "fluid-vec"}
+    assert dict(os.environ) == before
+    assert fluid_substrate("fluid") == substrate
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "foo:1"],
+        ["simulate", "foo:1", "--backend", "packet"],
+        ["nash", "--flows", "0"],
+        ["predict", "--rtt-ms", "0"],
+        ["predict", "--bbr", "0"],
+        ["simulate", "cubic:1", "bbr:1", "--buffer-bdp", "nan"],
+        ["simulate", "cubic:1", "bbr:1", "--buffer-bdp", "inf"],
+        ["simulate", "cubic:1", "bbr:1", "--rtt-ms", "inf"],
+        ["predict", "--mbps", "nan"],
+    ],
+)
+def test_bad_input_is_one_line_exit_2(argv, capsys):
+    """Bad input is rejected at the CLI/spec boundary: exit 2 (exit 1
+    is reserved for invariant violations), one stderr line, no
+    traceback."""
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1, captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_campaign_run_accepts_check_flag(
     _clean_check_default, tmp_path, capsys
 ):
@@ -693,20 +742,16 @@ values = [0]
 
 
 @pytest.fixture
-def _clean_trace_env():
-    """Undo the process-wide state --spans-out/--trace-out installs."""
+def _clean_trace_default():
+    """Undo the process-wide tracer --spans-out/--trace-out installs."""
     yield
-    import os
-
     from repro.obs import trace
 
-    os.environ.pop("REPRO_TRACE", None)
-    os.environ.pop("REPRO_PROFILE_POINTS", None)
-    trace.clear_default()
+    trace.set_default(None)
 
 
 def test_simulate_spans_out_and_trace_report(
-    _clean_trace_env, tmp_path, capsys
+    _clean_trace_default, tmp_path, capsys
 ):
     spans = tmp_path / "spans.json"
     code = main(
@@ -741,7 +786,7 @@ def test_simulate_spans_out_and_trace_report(
     assert "profiled hotspots" in report
 
 
-def test_simulate_progress_line(_clean_trace_env, capsys):
+def test_simulate_progress_line(_clean_trace_default, capsys):
     code = main(
         [
             "simulate",
@@ -769,7 +814,7 @@ def test_trace_report_missing_and_malformed(tmp_path, capsys):
 
 
 def test_campaign_trace_progress_status_top_cycle(
-    _clean_trace_env, tmp_path, capsys
+    _clean_trace_default, tmp_path, capsys
 ):
     import json
 
@@ -820,7 +865,7 @@ def test_campaign_trace_progress_status_top_cycle(
 
 
 def test_top_midrun_journal_renders_finite_eta(
-    _clean_trace_env, tmp_path, capsys
+    _clean_trace_default, tmp_path, capsys
 ):
     spec = _write_smoke_spec(tmp_path)
     out_dir = tmp_path / "camp"

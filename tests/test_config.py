@@ -74,6 +74,12 @@ def test_describe_mentions_key_parameters():
         {"capacity": 1e6, "rtt": 0.04, "buffer_bdp": 0},
         {"capacity": 1e6, "rtt": 0.04, "buffer_bdp": -2},
         {"capacity": 1e6, "rtt": 0.04, "buffer_bdp": 5, "mss": 0},
+        {"capacity": float("nan"), "rtt": 0.04, "buffer_bdp": 5},
+        {"capacity": float("inf"), "rtt": 0.04, "buffer_bdp": 5},
+        {"capacity": 1e6, "rtt": float("nan"), "buffer_bdp": 5},
+        {"capacity": 1e6, "rtt": float("inf"), "buffer_bdp": 5},
+        {"capacity": 1e6, "rtt": 0.04, "buffer_bdp": float("nan")},
+        {"capacity": 1e6, "rtt": 0.04, "buffer_bdp": float("inf")},
     ],
 )
 def test_invalid_configs_rejected(kwargs):

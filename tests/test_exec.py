@@ -354,7 +354,7 @@ def test_group_payoff_fn_cached(tmp_path):
 # -- worker-death hardening --------------------------------------------------
 
 
-def _die_in_worker(point):
+def _die_in_worker(point, state):
     """Replacement worker entry that kills the process abruptly."""
     import os
 
@@ -402,6 +402,32 @@ def test_broken_pool_results_cached_after_retry(tmp_path, monkeypatch):
     warm.run_points(batch)
     assert warm.stats["simulated"] == 0
     assert warm.stats["cache_hits"] == 2
+
+
+def test_pool_workers_follow_the_parents_fluid_substrate():
+    """Workers serve ``backend="fluid"`` on whatever substrate the
+    submitting process resolved at submission — also on a pool that
+    was started before the redirect, and again after it ends."""
+    from repro.experiments.runner import use_fluid_substrate
+    from repro.obs.trace import Tracer
+
+    def batched(tracer, lo):
+        return sum(
+            1 for s in tracer.spans[lo:] if s.name == "point_batch"
+        )
+
+    tracer = Tracer()
+    with Engine(jobs=2, tracer=tracer) as engine:
+        engine.run_points(points(4, duration=5.0))
+        assert batched(tracer, 0) == 0
+        mark = len(tracer.spans)
+        with use_fluid_substrate("fluid-vec"):
+            redirected = engine.run_points(points(4, duration=6.0))
+        assert batched(tracer, mark) == 2  # One vectorized call a chunk.
+        mark = len(tracer.spans)
+        engine.run_points(points(4, duration=7.0))
+        assert batched(tracer, mark) == 0
+    assert redirected == Engine().run_points(points(4, duration=6.0))
 
 
 # -- warmup validation (PR 5 satellite) -------------------------------------

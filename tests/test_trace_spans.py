@@ -1,12 +1,15 @@
 """repro.obs.trace: span recording, aggregation, Chrome export, workers.
 
-The pool tests exercise the worker hand-off end to end: spans recorded
-inside live ``ProcessPoolExecutor`` workers are drained, shipped back
-with each result, and merged parent-side with per-worker pid lanes.
+The pool tests exercise the worker hand-off end to end: an engine
+configured in code (no environment variables) tells its live
+``ProcessPoolExecutor`` workers to trace and profile; their spans are
+drained, shipped back with each result, and merged parent-side with
+per-worker pid lanes, parented to the span that submitted the work.
 """
 
 import json
 import os
+import threading
 
 import pytest
 
@@ -16,7 +19,6 @@ from repro.obs.trace import (
     Span,
     Tracer,
     aggregate_spans,
-    enabled_from_env,
     read_chrome_trace,
     render_span_report,
     write_chrome_trace,
@@ -88,12 +90,37 @@ def test_drain_merge_roundtrip():
     assert b.spans[0].pid == os.getpid()
 
 
-def test_enabled_from_env_values():
-    assert not enabled_from_env({})
-    for off in ("", "0", "false", "No", "OFF"):
-        assert not enabled_from_env({"REPRO_TRACE": off})
-    for on in ("1", "true", "yes", "spans"):
-        assert enabled_from_env({"REPRO_TRACE": on})
+def test_spans_carry_ids_and_parent_ids():
+    tracer = Tracer()
+    with tracer.span("outer"):
+        outer_id = tracer.current_id()
+        with tracer.span("inner"):
+            pass
+    inner, outer = tracer.spans
+    assert outer.span_id == outer_id
+    assert outer.parent_id is None
+    assert inner.parent_id == outer.span_id
+    assert inner.span_id != outer.span_id
+    assert tracer.current_id() is None
+
+
+def test_adopt_parents_spans_on_another_thread():
+    """A fan-out thread's outermost spans name the submitting span."""
+    tracer = Tracer()
+    with tracer.span("stage"):
+        parent = tracer.current_id()
+
+        def unit():
+            with tracer.adopt(parent):
+                with tracer.span("unit"):
+                    pass
+
+        thread = threading.Thread(target=unit)
+        thread.start()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+    by_name = {span.name: span for span in tracer.spans}
+    assert by_name["unit"].parent_id == by_name["stage"].span_id
 
 
 # -- aggregation -------------------------------------------------------------
@@ -101,9 +128,9 @@ def test_enabled_from_env_values():
 
 def test_aggregate_self_time_excludes_children():
     spans = [
-        Span("child", "t", start_s=1.0, dur_s=2.0, pid=1, tid=1),
-        Span("parent", "t", start_s=0.0, dur_s=10.0, pid=1, tid=1),
-        Span("child", "t", start_s=5.0, dur_s=1.0, pid=1, tid=1),
+        Span("child", "t", 1.0, 2.0, pid=1, tid=1, span_id=2, parent_id=1),
+        Span("parent", "t", 0.0, 10.0, pid=1, tid=1, span_id=1),
+        Span("child", "t", 5.0, 1.0, pid=1, tid=1, span_id=3, parent_id=1),
     ]
     by_name = {agg.name: agg for agg in aggregate_spans(spans)}
     assert by_name["parent"].total_s == pytest.approx(10.0)
@@ -114,7 +141,8 @@ def test_aggregate_self_time_excludes_children():
 
 
 def test_aggregate_keeps_lanes_separate():
-    # Same wall-clock interval on two pids: neither nests in the other.
+    # Same wall-clock interval on two pids, unrelated by parent id:
+    # neither is the other's child.
     spans = [
         Span("a", "t", start_s=0.0, dur_s=4.0, pid=1, tid=1),
         Span("b", "t", start_s=1.0, dur_s=2.0, pid=2, tid=1),
@@ -122,6 +150,23 @@ def test_aggregate_keeps_lanes_separate():
     by_name = {agg.name: agg for agg in aggregate_spans(spans)}
     assert by_name["a"].self_s == pytest.approx(4.0)
     assert by_name["b"].self_s == pytest.approx(2.0)
+
+
+def test_aggregate_subtracts_children_on_other_lanes():
+    """Children found by parent id count wherever they ran, and
+    overlapping children are merged before subtracting."""
+    spans = [
+        Span("unit", "t", 0.0, 10.0, pid=1, tid=2, span_id=1),
+        # Two worker points in parallel under the unit (other pids).
+        Span("point", "t", 1.0, 4.0, pid=7, tid=1, span_id=2, parent_id=1),
+        Span("point", "t", 3.0, 4.0, pid=8, tid=1, span_id=3, parent_id=1),
+        # A child that overruns its parent is clipped to it.
+        Span("point", "t", 9.0, 3.0, pid=7, tid=1, span_id=4, parent_id=1),
+    ]
+    by_name = {agg.name: agg for agg in aggregate_spans(spans)}
+    # Covered: [1, 7] and [9, 10] -> 7 of 10 s.
+    assert by_name["unit"].self_s == pytest.approx(3.0)
+    assert by_name["point"].self_s == pytest.approx(11.0)
 
 
 def test_render_span_report_lists_pids_and_hotspots():
@@ -149,6 +194,9 @@ def test_chrome_roundtrip(tmp_path, suffix):
     assert parsed.spans[0].dur_s == pytest.approx(
         tracer.spans[0].dur_s, abs=1e-6
     )
+    assert parsed.spans[0].span_id == tracer.spans[0].span_id
+    assert parsed.spans[0].parent_id is None
+    assert parsed.spans[0].args == {}
     assert parsed.hotspots == hotspots
     assert parsed.pids() == [os.getpid()]
 
@@ -181,8 +229,16 @@ def test_read_chrome_trace_rejects_non_trace(tmp_path):
 # -- live worker pools -------------------------------------------------------
 
 
-def _engine_with_tracing(monkeypatch, jobs, obs=None):
-    monkeypatch.setenv("REPRO_TRACE", "1")
+@pytest.fixture
+def no_repro_env(monkeypatch):
+    """Run with no ``REPRO_*`` variable set: engines configured in code
+    must reach their workers without the environment."""
+    for key in list(os.environ):
+        if key.startswith("REPRO_"):
+            monkeypatch.delenv(key)
+
+
+def _engine_with_tracing(jobs, obs=None):
     tracer = Tracer()
     return Engine(jobs=jobs, obs=obs, tracer=tracer), tracer
 
@@ -194,10 +250,10 @@ def _span_names(tracer):
     return names
 
 
-def test_pool_merges_worker_spans(monkeypatch):
+def test_pool_merges_worker_spans():
     """Spans recorded inside pool workers come back merged, well-formed,
     and monotonically timed, with worker pids as separate lanes."""
-    engine, tracer = _engine_with_tracing(monkeypatch, jobs=2)
+    engine, tracer = _engine_with_tracing(jobs=2)
     with engine:
         engine.run_points(points(3))
 
@@ -222,14 +278,31 @@ def test_pool_merges_worker_spans(monkeypatch):
             and sim.end_s <= p.end_s + EPS
         ]
         assert parents, f"simulate span has no enclosing point: {sim}"
+        assert sim.parent_id in {p.span_id for p in parents}
 
 
-def test_span_structure_stable_across_jobs(monkeypatch):
+def test_worker_spans_parented_to_submitting_span(no_repro_env):
+    """A tracer configured only in code reaches the workers (one
+    worker-pid point span per point), and their point spans name the
+    parent-side span that submitted them."""
+    engine, tracer = _engine_with_tracing(jobs=2)
+    with engine, tracer.span("batch"):
+        engine.run_points(points(3))
+    (batch,) = [s for s in tracer.spans if s.name == "batch"]
+    point_spans = [s for s in tracer.spans if s.name == "point"]
+    assert len(point_spans) == 3
+    assert all(s.pid != os.getpid() for s in point_spans)
+    assert {s.parent_id for s in point_spans} == {batch.span_id}
+    by_name = {agg.name: agg for agg in aggregate_spans(tracer.spans)}
+    assert by_name["batch"].self_s < by_name["batch"].total_s
+
+
+def test_span_structure_stable_across_jobs():
     """jobs=1 and jobs=4 record the same span names and counts; only
     the pids differ (inline vs worker lanes)."""
-    inline_engine, inline_tracer = _engine_with_tracing(monkeypatch, 1)
+    inline_engine, inline_tracer = _engine_with_tracing(1)
     inline_engine.run_points(points(3))
-    pool_engine, pool_tracer = _engine_with_tracing(monkeypatch, 4)
+    pool_engine, pool_tracer = _engine_with_tracing(4)
     with pool_engine:
         pool_engine.run_points(points(3))
     assert _span_names(inline_tracer) == _span_names(pool_tracer)
@@ -237,11 +310,11 @@ def test_span_structure_stable_across_jobs(monkeypatch):
     assert len({s.pid for s in pool_tracer.spans}) > 1
 
 
-def test_telemetry_snapshot_under_pool(monkeypatch):
+def test_telemetry_snapshot_under_pool():
     """Engine counters on the parent's bus stay exact with live workers
     (worker-side telemetry is disabled, not double-counted)."""
     obs = Telemetry()
-    engine, tracer = _engine_with_tracing(monkeypatch, 2, obs=obs)
+    engine, tracer = _engine_with_tracing(2, obs=obs)
     with engine:
         engine.run_points(points(3))
     snap = obs.snapshot()
@@ -252,9 +325,8 @@ def test_telemetry_snapshot_under_pool(monkeypatch):
     assert tracer.snapshot()["spans"] == len(tracer.spans)
 
 
-def test_pool_heartbeats_reach_parent(monkeypatch):
+def test_pool_heartbeats_reach_parent():
     beats = []
-    monkeypatch.setenv("REPRO_TRACE", "1")
     engine = Engine(
         jobs=2, heartbeat=lambda pid, rss: beats.append((pid, rss))
     )
@@ -276,9 +348,7 @@ def test_profile_slowest_collects_hotspots():
     )
 
 
-def test_profile_points_env_inherited_by_workers(monkeypatch):
-    monkeypatch.setenv("REPRO_TRACE", "1")
-    monkeypatch.setenv("REPRO_PROFILE_POINTS", "2")
+def test_profile_slowest_reaches_pool_workers(no_repro_env):
     engine = Engine(jobs=2, profile_slowest=2)
     with engine:
         engine.run_points(points(2))
